@@ -1,11 +1,12 @@
 // The two adversarial/cooperative experiment kinds (time-evolving,
-// in-network): spec validation, item accounting, run semantics, and the
-// golden CSVs for their checked-in specs (quick mode).
+// in-network): spec validation, item accounting and run semantics; plus
+// the quick-mode golden CSVs of every checked-in spec.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -243,10 +244,17 @@ TEST(ScenarioRunnerKinds, ShardsPartitionTheNewKinds) {
 
 #ifdef LAD_SCENARIO_DIR
 
-// Runs a checked-in spec in quick mode at the given jobs count and
-// returns the emitted CSV bodies keyed by file name.
-std::vector<std::pair<std::string, std::string>> run_quick(
-    const std::string& scn, int jobs) {
+// What one quick-mode run of a checked-in spec produced: the table ids
+// the runner declares up front, the ids run() actually emitted, and the
+// written CSV bodies keyed by file name.
+struct QuickRun {
+  std::vector<std::string> declared_ids;
+  std::vector<std::string> emitted_ids;
+  std::vector<std::pair<std::string, std::string>> files;
+};
+
+// Runs a checked-in spec in quick mode at the given jobs count.
+QuickRun run_quick(const std::string& scn, int jobs) {
   namespace fs = std::filesystem;
   ScenarioSpec spec =
       ScenarioSpec::load(std::string(LAD_SCENARIO_DIR) + "/" + scn);
@@ -259,38 +267,75 @@ std::vector<std::pair<std::string, std::string>> run_quick(
                        ("lad_golden_" + spec.name + "_j" +
                         std::to_string(jobs));
   fs::remove_all(dir);
-  write_result_csvs(ScenarioRunner(spec).run(), dir.string());
+  ScenarioRunner runner(spec);
+  QuickRun out;
+  out.declared_ids = runner.table_ids();
+  const ScenarioResult result = runner.run();
+  for (const ResultTable& t : result.tables) out.emitted_ids.push_back(t.id);
+  write_result_csvs(result, dir.string());
 
-  std::vector<std::pair<std::string, std::string>> out;
   for (const auto& entry : fs::directory_iterator(dir)) {
-    out.emplace_back(entry.path().filename().string(),
-                     read_file(entry.path()));
+    out.files.emplace_back(entry.path().filename().string(),
+                           read_file(entry.path()));
   }
-  std::sort(out.begin(), out.end());
+  std::sort(out.files.begin(), out.files.end());
   fs::remove_all(dir);
   return out;
 }
 
-// The checked-in specs for the new kinds are pinned by goldens: quick
-// mode must reproduce tests/data/scenario_goldens/ byte for byte, and a
-// concurrent run must match the sequential one exactly (the acceptance
-// bar shared by every scenario kind).
+// Every checked-in spec is pinned by goldens: quick mode must reproduce
+// tests/data/scenario_goldens/ byte for byte, the runner must declare
+// exactly the tables it emits, and a concurrent run must match the
+// sequential one exactly (the acceptance bar shared by every kind).
 class ScenarioGoldens : public testing::TestWithParam<const char*> {};
 
 TEST_P(ScenarioGoldens, QuickModeMatchesTheGoldenAcrossJobs) {
-  const auto sequential = run_quick(GetParam(), 1);
-  ASSERT_EQ(sequential.size(), 2u);  // every new kind emits two tables
-  for (const auto& [name, body] : sequential) {
+  const QuickRun sequential = run_quick(GetParam(), 1);
+  EXPECT_EQ(sequential.declared_ids, sequential.emitted_ids);
+  ASSERT_EQ(sequential.files.size(), sequential.declared_ids.size());
+  for (const auto& [name, body] : sequential.files) {
     EXPECT_FALSE(body.empty()) << name;
     test::expect_matches_golden(body, "scenario_goldens/" + name);
   }
-  const auto concurrent = run_quick(GetParam(), 4);
-  EXPECT_EQ(sequential, concurrent);
+  const QuickRun concurrent = run_quick(GetParam(), 4);
+  EXPECT_EQ(sequential.files, concurrent.files);
 }
 
+const char* const kNewKindSpecs[] = {"tab_time_evolving.scn",
+                                     "tab_in_network.scn"};
+
+const char* const kPaperSpecs[] = {
+    "fig02_deployment_pdf.scn",      "fig04_roc_metrics.scn",
+    "fig05_roc_attacks_small_d.scn", "fig06_roc_attacks_large_d.scn",
+    "fig07_dr_vs_damage.scn",        "fig08_dr_vs_compromise.scn",
+    "fig09_dr_vs_density.scn",       "quickstart.scn",
+    "tab_correction.scn",            "tab_deployment_shapes.scn",
+    "tab_echo_comparison.scn",       "tab_group_thresholds.scn",
+    "tab_gz_accuracy.scn",           "tab_localizer_ablation.scn",
+    "tab_metric_fusion.scn",         "tab_mmse_vulnerability.scn",
+    "tab_model_mismatch.scn",        "tab_threshold_sensitivity.scn",
+};
+
 INSTANTIATE_TEST_SUITE_P(NewKinds, ScenarioGoldens,
-                         testing::Values("tab_time_evolving.scn",
-                                         "tab_in_network.scn"));
+                         testing::ValuesIn(kNewKindSpecs));
+INSTANTIATE_TEST_SUITE_P(PaperSpecs, ScenarioGoldens,
+                         testing::ValuesIn(kPaperSpecs));
+
+TEST(ScenarioGoldenCoverage, EveryCheckedInSpecIsPinned) {
+  std::vector<std::string> pinned(std::begin(kNewKindSpecs),
+                                  std::end(kNewKindSpecs));
+  pinned.insert(pinned.end(), std::begin(kPaperSpecs), std::end(kPaperSpecs));
+  std::vector<std::string> on_disk;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(LAD_SCENARIO_DIR)) {
+    if (entry.path().extension() == ".scn") {
+      on_disk.push_back(entry.path().filename().string());
+    }
+  }
+  std::sort(pinned.begin(), pinned.end());
+  std::sort(on_disk.begin(), on_disk.end());
+  EXPECT_EQ(pinned, on_disk);
+}
 
 #endif  // LAD_SCENARIO_DIR
 

@@ -1,6 +1,7 @@
 // ScenarioSpec parsing/validation, overrides, shard syntax, the localizer
-// registry, and tagged-CSV persistence.  The work-item expansion and
-// execution live in scenario_runner.cpp.
+// registry, and tagged-CSV persistence.  Everything kind-specific (own
+// section, sweepable axes, kind-only keys) comes from the kind table; its
+// rows, the work-item expansion and execution live in scenario_runner.cpp.
 #include "sim/scenario.h"
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include "loc/dvhop.h"
 #include "loc/truth_noise.h"
 #include "loc/weighted_centroid.h"
+#include "sim/kind_table.h"
 #include "sim/pipeline.h"
 #include "util/assert.h"
 #include "util/csv.h"
@@ -34,29 +36,12 @@ const std::vector<std::string>& common_sections() {
   return sections;
 }
 
-/// The kind-specific section each experiment kind may carry (nullptr =
-/// none).  Sections belonging to a different kind are rejected so dead
-/// configuration cannot hide in a spec.
-const char* kind_section(ExperimentKind kind) {
-  switch (kind) {
-    case ExperimentKind::kDeploymentPdf: return "pdf";
-    case ExperimentKind::kGzAccuracy: return "gz";
-    case ExperimentKind::kCorrection: return "correction";
-    case ExperimentKind::kEchoComparison: return "echo";
-    case ExperimentKind::kMmseVulnerability: return "mmse";
-    case ExperimentKind::kThresholdSensitivity: return "threshold";
-    case ExperimentKind::kTimeEvolving: return "evolve";
-    case ExperimentKind::kInNetwork: return "coop";
-    default: return nullptr;
+/// The name of the (first) kind whose row accepts the kind-only key `bit`.
+const char* kind_accepting(unsigned bit) {
+  for (const KindSpec& row : kind_table()) {
+    if ((row.accepts & bit) != 0) return row.name;
   }
-}
-
-int get_positive_int(const KvConfig::Section& s, const std::string& key,
-                     long long def) {
-  const long long v = s.get_int(key, def);
-  LAD_REQUIRE_MSG(v > 0, "[" << s.name() << "] " << key
-                             << " must be positive, got " << v);
-  return static_cast<int>(v);
+  return "?";
 }
 
 std::vector<MetricKind> parse_metrics(const KvConfig::Section& s) {
@@ -80,54 +65,6 @@ std::vector<int> to_int_vector(const std::vector<long long>& v) {
   return std::vector<int>(v.begin(), v.end());
 }
 
-void require_non_empty(const std::vector<double>& v, const char* what) {
-  LAD_REQUIRE_MSG(!v.empty(), "sweep list '" << what << "' is empty");
-}
-
-}  // namespace
-
-const char* experiment_kind_name(ExperimentKind kind) {
-  switch (kind) {
-    case ExperimentKind::kRoc: return "roc";
-    case ExperimentKind::kDrSweep: return "dr-sweep";
-    case ExperimentKind::kDensitySweep: return "density-sweep";
-    case ExperimentKind::kDeploymentPdf: return "deployment-pdf";
-    case ExperimentKind::kGzAccuracy: return "gz-accuracy";
-    case ExperimentKind::kCorrection: return "correction";
-    case ExperimentKind::kEchoComparison: return "echo-comparison";
-    case ExperimentKind::kMetricFusion: return "metric-fusion";
-    case ExperimentKind::kMmseVulnerability: return "mmse-vulnerability";
-    case ExperimentKind::kThresholdSensitivity: return "threshold-sensitivity";
-    case ExperimentKind::kTimeEvolving: return "time-evolving";
-    case ExperimentKind::kInNetwork: return "in-network";
-  }
-  return "?";
-}
-
-ExperimentKind experiment_kind_from_name(const std::string& name) {
-  const std::string n = to_lower(name);
-  for (ExperimentKind kind :
-       {ExperimentKind::kRoc, ExperimentKind::kDrSweep,
-        ExperimentKind::kDensitySweep, ExperimentKind::kDeploymentPdf,
-        ExperimentKind::kGzAccuracy, ExperimentKind::kCorrection,
-        ExperimentKind::kEchoComparison, ExperimentKind::kMetricFusion,
-        ExperimentKind::kMmseVulnerability,
-        ExperimentKind::kThresholdSensitivity, ExperimentKind::kTimeEvolving,
-        ExperimentKind::kInNetwork}) {
-    if (n == experiment_kind_name(kind)) return kind;
-  }
-  LAD_REQUIRE_MSG(false, "unknown experiment kind: '" << name << "'");
-  return ExperimentKind::kDrSweep;  // unreachable
-}
-
-const char* group_threshold_mode_name(GroupThresholdMode mode) {
-  switch (mode) {
-    case GroupThresholdMode::kGlobal: return "global";
-    case GroupThresholdMode::kPerGroup: return "per_group";
-  }
-  return "?";
-}
-
 GroupThresholdMode group_threshold_mode_from_name(const std::string& name) {
   const std::string n = to_lower(name);
   if (n == "global") return GroupThresholdMode::kGlobal;
@@ -137,6 +74,7 @@ GroupThresholdMode group_threshold_mode_from_name(const std::string& name) {
   return GroupThresholdMode::kGlobal;  // unreachable
 }
 
+/// Validates a localizer registry name without needing a pipeline.
 bool is_known_localizer(const std::string& name) {
   if (name == "beaconless-mle" || name == "weighted-centroid" ||
       name == "dv-hop" || name == "amorphous") {
@@ -152,6 +90,35 @@ bool is_known_localizer(const std::string& name) {
     }
   }
   return false;
+}
+
+}  // namespace
+
+namespace detail {
+
+int get_positive_int(const KvConfig::Section& s, const std::string& key,
+                     long long def) {
+  const long long v = s.get_int(key, def);
+  LAD_REQUIRE_MSG(v > 0, "[" << s.name() << "] " << key
+                             << " must be positive, got " << v);
+  return static_cast<int>(v);
+}
+
+void require_non_empty(const std::vector<double>& v, const char* what) {
+  LAD_REQUIRE_MSG(!v.empty(), "sweep list '" << what << "' is empty");
+}
+
+}  // namespace detail
+
+using detail::get_positive_int;
+using detail::require_non_empty;
+
+const char* group_threshold_mode_name(GroupThresholdMode mode) {
+  switch (mode) {
+    case GroupThresholdMode::kGlobal: return "global";
+    case GroupThresholdMode::kPerGroup: return "per_group";
+  }
+  return "?";
 }
 
 LocalizerFactory localizer_factory_from_name(const std::string& name,
@@ -198,29 +165,23 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
   const std::string kind_name = sc.get_string("experiment", "");
   LAD_REQUIRE_MSG(!kind_name.empty(),
                   config.origin() << ": [scenario] experiment is required");
-  spec.kind = experiment_kind_from_name(kind_name);
+  const KindSpec& kind = find_kind(kind_name);
+  spec.kind = kind.kind;
 
   // Section allowlist is kind-aware: a [gz] section in a dr-sweep spec is
   // dead configuration and almost certainly a mistake.
-  const char* own_section = kind_section(spec.kind);
   for (const KvConfig::Section& s : config.sections()) {
     const auto& common = common_sections();
-    if (std::find(common.begin(), common.end(), s.name()) != common.end()) {
+    if (std::find(common.begin(), common.end(), s.name()) != common.end() ||
+        s.name() == kind.section) {
       continue;
     }
-    if (own_section != nullptr && s.name() == own_section) continue;
-    for (ExperimentKind k :
-         {ExperimentKind::kDeploymentPdf, ExperimentKind::kGzAccuracy,
-          ExperimentKind::kCorrection, ExperimentKind::kEchoComparison,
-          ExperimentKind::kMmseVulnerability,
-          ExperimentKind::kThresholdSensitivity,
-          ExperimentKind::kTimeEvolving, ExperimentKind::kInNetwork}) {
-      LAD_REQUIRE_MSG(s.name() != kind_section(k),
+    for (const KindSpec& other : kind_table()) {
+      LAD_REQUIRE_MSG(s.name() != other.section,
                       config.origin()
                           << ": section [" << s.name()
-                          << "] is only valid for experiment = "
-                          << experiment_kind_name(k) << " (this is "
-                          << experiment_kind_name(spec.kind) << ")");
+                          << "] is only valid for experiment = " << other.name
+                          << " (this is " << kind.name << ")");
     }
     LAD_REQUIRE_MSG(false, config.origin() << ": unknown section ["
                                            << s.name() << "]");
@@ -303,11 +264,12 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
                                  << coupling << "'");
     }
     if (s->has("group_thresholds")) {
-      // Only dr-sweep consumes this axis; anywhere else even a single
-      // value would be dead configuration (fail-fast contract).
-      LAD_REQUIRE_MSG(spec.kind == ExperimentKind::kDrSweep,
-                      "[sweep] group_thresholds is only swept by dr-sweep "
-                      "(this is " << experiment_kind_name(spec.kind) << ")");
+      // Outside its kind even a single value would be dead configuration
+      // (fail-fast contract).
+      LAD_REQUIRE_MSG((kind.accepts & kKeyGroupThresholds) != 0,
+                      "[sweep] group_thresholds is only swept by "
+                          << kind_accepting(kKeyGroupThresholds)
+                          << " (this is " << kind.name << ")");
       spec.group_threshold_modes.clear();
       for (const std::string& n : s->get_string_list("group_thresholds", {})) {
         spec.group_threshold_modes.push_back(
@@ -317,70 +279,54 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
                       "sweep list 'group_thresholds' is empty");
     }
   }
-  if (spec.kind == ExperimentKind::kDensitySweep) {
+  if ((kind.accepts & kKeyDensities) != 0) {
     LAD_REQUIRE_MSG(!spec.densities.empty(),
-                    "density-sweep needs a non-empty [sweep] densities list");
+                    kind.name << " needs a non-empty [sweep] densities list");
   } else {
     LAD_REQUIRE_MSG(spec.densities.empty(),
-                    "[sweep] densities is only swept by density-sweep (this "
-                    "is " << experiment_kind_name(spec.kind) << ")");
+                    "[sweep] densities is only swept by "
+                        << kind_accepting(kKeyDensities) << " (this is "
+                        << kind.name << ")");
   }
 
   // Reject multi-valued axes the kind does not expand: the runner would
   // silently use only the first value, which breaks the fail-fast contract.
-  {
-    const ExperimentKind k = spec.kind;
-    const auto require_single = [&](std::size_t n, const char* axis) {
-      LAD_REQUIRE_MSG(n <= 1, "experiment '"
-                                  << experiment_kind_name(k)
-                                  << "' does not sweep [sweep] " << axis
-                                  << " (got " << n
-                                  << " values; only the first would run)");
-    };
-    const bool dr = k == ExperimentKind::kDrSweep;
-    const bool grid_kind = dr || k == ExperimentKind::kRoc ||
-                           k == ExperimentKind::kDensitySweep;
-    if (!dr) {
-      require_single(spec.shapes.size(), "shapes");
-      require_single(spec.localizers.size(), "localizers");
-      require_single(spec.actual_sigmas.size(), "actual_sigmas");
-      require_single(spec.jitters.size(), "jitters");
-    }
-    if (!grid_kind && k != ExperimentKind::kMetricFusion) {
-      require_single(spec.metrics.size(), "metrics");
-    }
-    if (!grid_kind && k != ExperimentKind::kCorrection &&
-        k != ExperimentKind::kTimeEvolving) {
-      require_single(spec.attacks.size(), "attacks");
-    }
-    if (!grid_kind && k != ExperimentKind::kCorrection &&
-        k != ExperimentKind::kEchoComparison &&
-        k != ExperimentKind::kThresholdSensitivity &&
-        k != ExperimentKind::kTimeEvolving &&
-        k != ExperimentKind::kInNetwork) {
-      require_single(spec.damages.size(), "damages");
-    }
-    if (!grid_kind) require_single(spec.compromised.size(), "compromised");
-  }
+  const auto single_unless = [&](unsigned bit, std::size_t n,
+                                 const char* axis) {
+    LAD_REQUIRE_MSG((kind.accepts & bit) != 0 || n <= 1,
+                    "experiment '" << kind.name
+                                   << "' does not sweep [sweep] " << axis
+                                   << " (got " << n
+                                   << " values; only the first would run)");
+  };
+  single_unless(kMultiShapes, spec.shapes.size(), "shapes");
+  single_unless(kMultiLocalizers, spec.localizers.size(), "localizers");
+  single_unless(kMultiActualSigmas, spec.actual_sigmas.size(),
+                "actual_sigmas");
+  single_unless(kMultiJitters, spec.jitters.size(), "jitters");
+  single_unless(kMultiMetrics, spec.metrics.size(), "metrics");
+  single_unless(kMultiAttacks, spec.attacks.size(), "attacks");
+  single_unless(kMultiDamages, spec.damages.size(), "damages");
+  single_unless(kMultiCompromised, spec.compromised.size(), "compromised");
 
   if (const KvConfig::Section* d = config.find_section("detector")) {
     spec.fp_budget = d->get_double("fp_budget", spec.fp_budget);
     spec.tau = d->get_double("tau", spec.tau);
     if (d->has("group_min_samples")) {
-      LAD_REQUIRE_MSG(spec.kind == ExperimentKind::kDrSweep,
+      LAD_REQUIRE_MSG((kind.accepts & kKeyGroupMinSamples) != 0,
                       "[detector] group_min_samples is only consumed by "
-                      "dr-sweep (this is "
-                          << experiment_kind_name(spec.kind) << ")");
+                          << kind_accepting(kKeyGroupMinSamples)
+                          << " (this is " << kind.name << ")");
       spec.group_min_samples = get_positive_int(*d, "group_min_samples",
                                                 spec.group_min_samples);
     }
     spec.bundle = d->get_string("bundle", "");
-    // Only metric-fusion consumes a saved bundle today; anywhere else the
-    // key would be dead configuration (fail-fast contract).
-    LAD_REQUIRE_MSG(spec.bundle.empty() ||
-                        spec.kind == ExperimentKind::kMetricFusion,
-                    "[detector] bundle is only consumed by metric-fusion "
-                    "(this is " << experiment_kind_name(spec.kind) << ")");
+    // Anywhere but its kind a saved bundle would be dead configuration
+    // (fail-fast contract).
+    LAD_REQUIRE_MSG(spec.bundle.empty() || (kind.accepts & kKeyBundle) != 0,
+                    "[detector] bundle is only consumed by "
+                        << kind_accepting(kKeyBundle) << " (this is "
+                        << kind.name << ")");
   }
   LAD_REQUIRE_MSG(spec.fp_budget > 0 && spec.fp_budget < 1,
                   "[detector] fp_budget must be in (0,1)");
@@ -391,7 +337,6 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
     spec.jobs = get_positive_int(*r, "jobs", 1);
   }
 
-  spec.fp_grid = {0.01, 0.02, 0.05, 0.1, 0.2, 0.5};
   if (const KvConfig::Section* o = config.find_section("output")) {
     spec.fp_grid = o->get_double_list("fp_grid", spec.fp_grid);
     require_non_empty(spec.fp_grid, "fp_grid");
@@ -401,68 +346,10 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
     spec.loc_error = o->get_bool("loc_error", spec.loc_error);
   }
 
-  if (const KvConfig::Section* c = config.find_section("correction")) {
-    spec.trials = get_positive_int(*c, "trials", spec.trials);
-  }
-  if (const KvConfig::Section* e = config.find_section("echo")) {
-    spec.trials = get_positive_int(*e, "trials", spec.trials);
-    spec.echo_grid_x = get_positive_int(*e, "grid_x", spec.echo_grid_x);
-    spec.echo_grid_y = get_positive_int(*e, "grid_y", spec.echo_grid_y);
-    spec.echo_range = e->get_double("range", spec.echo_range);
-    spec.echo_train_samples =
-        get_positive_int(*e, "train_samples", spec.echo_train_samples);
-  }
-  spec.omegas = {8, 16, 32, 64, 128, 256, 512, 1024, 4096};
-  if (const KvConfig::Section* g = config.find_section("gz")) {
-    spec.omegas = g->get_int_list("omegas", spec.omegas);
-    LAD_REQUIRE_MSG(!spec.omegas.empty(), "sweep list 'omegas' is empty");
-  }
-  spec.lies = {0, 100, 200, 400, 800, 1600, 3200};
-  spec.dvhop_lies = {0, 400, 1600};
-  if (const KvConfig::Section* m = config.find_section("mmse")) {
-    spec.lies = m->get_double_list("lies", spec.lies);
-    require_non_empty(spec.lies, "lies");
-    spec.trials = get_positive_int(*m, "trials", spec.trials);
-    spec.dvhop_lies = m->get_double_list("dvhop_lies", spec.dvhop_lies);
-    spec.dvhop_trials = get_positive_int(*m, "dvhop_trials", spec.dvhop_trials);
-  }
-  spec.taus = {0.90, 0.95, 0.99, 0.999};
-  spec.fudges = {0.5, 0.75, 1.0, 1.25, 1.5, 2.0};
-  if (const KvConfig::Section* t = config.find_section("threshold")) {
-    spec.taus = t->get_double_list("taus", spec.taus);
-    spec.fudges = t->get_double_list("fudges", spec.fudges);
-    LAD_REQUIRE_MSG(!spec.taus.empty() || !spec.fudges.empty(),
-                    "threshold-sensitivity needs taus and/or fudges");
-    for (double tau : spec.taus) {
-      LAD_REQUIRE_MSG(tau > 0 && tau < 1, "[threshold] taus must be in (0,1)");
+  if (*kind.section != '\0') {
+    if (const KvConfig::Section* own = config.find_section(kind.section)) {
+      kind.parse_section(*own, spec);
     }
-  }
-  if (const KvConfig::Section* p = config.find_section("pdf")) {
-    spec.pdf_grid = get_positive_int(*p, "grid", spec.pdf_grid);
-    LAD_REQUIRE_MSG(spec.pdf_grid >= 2, "[pdf] grid must be >= 2");
-  }
-  if (const KvConfig::Section* e = config.find_section("evolve")) {
-    spec.trials = get_positive_int(*e, "trials", spec.trials);
-    spec.evolve_rounds = get_positive_int(*e, "rounds", spec.evolve_rounds);
-    spec.evolve_step = get_positive_int(*e, "step", spec.evolve_step);
-    const long long initial = e->get_int("initial", spec.evolve_initial);
-    LAD_REQUIRE_MSG(initial >= 0,
-                    "[evolve] initial must be >= 0, got " << initial);
-    spec.evolve_initial = static_cast<int>(initial);
-    spec.evolve_train_samples =
-        get_positive_int(*e, "train_samples", spec.evolve_train_samples);
-  }
-  if (const KvConfig::Section* c = config.find_section("coop")) {
-    spec.trials = get_positive_int(*c, "trials", spec.trials);
-    spec.coop_radius = c->get_double("radius", spec.coop_radius);
-    LAD_REQUIRE_MSG(spec.coop_radius > 0, "[coop] radius must be > 0, got "
-                                              << spec.coop_radius);
-    spec.coop_majority = c->get_double("majority", spec.coop_majority);
-    LAD_REQUIRE_MSG(spec.coop_majority > 0 && spec.coop_majority <= 1,
-                    "[coop] majority must be in (0,1], got "
-                        << spec.coop_majority);
-    spec.coop_train_samples =
-        get_positive_int(*c, "train_samples", spec.coop_train_samples);
   }
 
   const std::vector<std::string> unknown = config.unused();

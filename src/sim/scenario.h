@@ -34,8 +34,8 @@
 
 namespace lad {
 
-/// Experiment families; each maps to one expansion + rendering strategy in
-/// the runner (the paper's Section 7 grid plus the repo's extensions).
+/// Experiment families (the paper's Section 7 grid plus the repo's
+/// extensions); each is described by one KindSpec row (sim/kind_table.h).
 enum class ExperimentKind {
   kRoc,                   ///< ROC curves over metric x attack x damage (Figs. 4-6)
   kDrSweep,               ///< trained-threshold DR sweeps (Figs. 7/8, tabs)
@@ -52,7 +52,6 @@ enum class ExperimentKind {
 };
 
 const char* experiment_kind_name(ExperimentKind kind);
-ExperimentKind experiment_kind_from_name(const std::string& name);
 
 /// How the two deployment-mismatch axes (actual_sigmas x jitters) combine:
 /// kAxes varies one axis at a time (first value of the other axis held),
@@ -65,7 +64,6 @@ enum class MismatchCoupling { kAxes, kProduct };
 enum class GroupThresholdMode { kGlobal, kPerGroup };
 
 const char* group_threshold_mode_name(GroupThresholdMode mode);
-GroupThresholdMode group_threshold_mode_from_name(const std::string& name);
 
 /// Reduced sample counts applied in quick (CI smoke) mode; every field is
 /// optional so specs only override what matters for their kind.
@@ -129,37 +127,39 @@ struct ScenarioSpec {
   int jobs = 1;
 
   // [output]
-  std::vector<double> fp_grid;  ///< ROC summary columns
+  /// ROC summary columns
+  std::vector<double> fp_grid = {0.01, 0.02, 0.05, 0.1, 0.2, 0.5};
   int curve_points = 60;        ///< max ROC curve rows per item; 0 = omit
   bool loc_error = false;       ///< add a localization-error column (dr-sweep)
 
-  // [correction] / [echo] / [gz] / [mmse] / [threshold] / [pdf]
+  // The kind sections: [correction] / [echo] / [gz] / [mmse] /
+  // [threshold] / [pdf] / [evolve] / [coop]
   int trials = 300;
+  /// Benign samples the single-network kinds (echo, evolve, coop) train
+  /// their LAD threshold on; each reads it from its own section.
+  int train_samples = 400;
   int pdf_grid = 13;
-  std::vector<long long> omegas;
-  std::vector<double> lies;
-  std::vector<double> dvhop_lies;
+  std::vector<long long> omegas = {8, 16, 32, 64, 128, 256, 512, 1024, 4096};
+  std::vector<double> lies = {0, 100, 200, 400, 800, 1600, 3200};
+  std::vector<double> dvhop_lies = {0, 400, 1600};
   int dvhop_trials = 100;
   int echo_grid_x = 4;
   int echo_grid_y = 4;
   double echo_range = 200.0;
-  int echo_train_samples = 400;
-  std::vector<double> taus;
-  std::vector<double> fudges;
+  std::vector<double> taus = {0.90, 0.95, 0.99, 0.999};
+  std::vector<double> fudges = {0.5, 0.75, 1.0, 1.25, 1.5, 2.0};
 
   // [evolve] - time-evolving compromise: the attacker corrupts
   // `initial + round * step` beacons in round 0..rounds-1.
   int evolve_rounds = 8;
   int evolve_step = 2;
   int evolve_initial = 0;
-  int evolve_train_samples = 400;
 
   // [coop] - in-network detection: nodes within `radius` of a claimed
   // location vote on it; the claim is flagged when at least `majority`
   // (fraction) of the voters call it anomalous.
   double coop_radius = 150.0;
   double coop_majority = 0.5;
-  int coop_train_samples = 400;
 
   /// Builds a spec from parsed config text.  Rejects unknown sections and
   /// keys, bad enum values, and empty sweep lists with precise messages.
@@ -183,8 +183,7 @@ struct ScenarioOverrides {
 ScenarioSpec apply_overrides(ScenarioSpec spec, const ScenarioOverrides& o);
 
 /// Reads the common override flags (--quick, --seed, --m, --networks,
-/// --victims, --threads, --jobs, --r, --sigma) — the one flag list shared
-/// by `lad_cli run` and the bench wrappers.  `--jobs` must be >= 1; zero
+/// --victims, --threads, --jobs, --r, --sigma) of `lad_cli run`.  `--jobs` must be >= 1; zero
 /// and negative values are rejected by name (the parallel_for_items
 /// convention: a computed-jobs bug must surface, not silently serialize
 /// or grab all cores).
@@ -216,6 +215,9 @@ struct ScenarioResult {
   std::string scenario;  ///< spec name (CSV file prefix)
   std::vector<ResultTable> tables;
 };
+
+/// The runner's shared state and per-kind run functions (scenario_runner.cpp).
+struct ScenarioRunState;
 
 /// Expands and executes a scenario (or one shard of it).  Pipelines and
 /// benign passes are constructed lazily and shared across the items that
@@ -249,8 +251,7 @@ class ScenarioRunner {
                        std::string* reason = nullptr) const;
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  std::unique_ptr<ScenarioRunState> state_;
 };
 
 /// Localizer registry used by scenario specs: "beaconless-mle",
@@ -258,8 +259,6 @@ class ScenarioRunner {
 /// The factory borrows `pipeline` (model + g(z) table); keep it alive.
 LocalizerFactory localizer_factory_from_name(const std::string& name,
                                              const Pipeline& pipeline);
-/// Validates a registry name without needing a pipeline (spec parsing).
-bool is_known_localizer(const std::string& name);
 
 /// Writes one "<scenario>.<table>.csv" per result table into `dir`
 /// (created if missing) with the work-item tag as the first column.

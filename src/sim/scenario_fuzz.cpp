@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "rng/rng.h"
+#include "sim/kind_table.h"
 #include "sim/scenario.h"
 #include "util/assert.h"
 #include "util/kvconfig.h"
@@ -106,157 +107,92 @@ class ScnWriter {
   std::string text_;
 };
 
-// Per-kind axis permissions, mirroring ScenarioSpec::from_config's
-// require_single contract (which axes a kind expands).
-struct KindShape {
-  std::string name;
-  bool multi_metrics = false;
-  bool multi_attacks = false;
-  bool multi_damages = false;
-  bool multi_x = false;
-  bool dr_axes = false;    // shapes/localizers/sigmas/jitters/group modes
-  bool densities = false;  // [sweep] densities required (density-sweep)
-  std::string section;     // kind-specific section ("" = none)
-};
-
-const std::vector<KindShape>& kind_shapes() {
-  static const std::vector<KindShape> kinds = {
-      {"roc", true, true, true, true, false, false, ""},
-      {"dr-sweep", true, true, true, true, true, false, ""},
-      {"density-sweep", true, true, true, true, false, true, ""},
-      {"deployment-pdf", false, false, false, false, false, false, "pdf"},
-      {"gz-accuracy", false, false, false, false, false, false, "gz"},
-      {"correction", false, true, true, false, false, false, "correction"},
-      {"echo-comparison", false, false, true, false, false, false, "echo"},
-      {"metric-fusion", true, false, false, false, false, false, ""},
-      {"mmse-vulnerability", false, false, false, false, false, false,
-       "mmse"},
-      {"threshold-sensitivity", false, false, true, false, false, false,
-       "threshold"},
-      {"time-evolving", false, true, true, false, false, false, "evolve"},
-      {"in-network", false, false, true, false, false, false, "coop"},
-  };
-  return kinds;
-}
-
-const std::vector<std::string>& all_kind_sections() {
-  static const std::vector<std::string> sections = {
-      "pdf", "gz", "correction", "echo", "mmse", "threshold", "evolve",
-      "coop"};
-  return sections;
+bool accepts(const KindSpec& kind, unsigned bit) {
+  return (kind.accepts & bit) != 0;
 }
 
 int axis_n(Rng& rng, bool multi) { return multi ? draw_int(rng, 1, 4) : 1; }
 
-void emit_sweep(ScnWriter& w, Rng& rng, const KindShape& kind) {
+void emit_sweep(ScnWriter& w, Rng& rng, const KindSpec& kind) {
   w.section("sweep");
   bool any = false;
   if (chance(rng, 0.7)) {
     std::vector<std::string> ms = {"diff", "add-all", "prob"};
-    const int n = std::min(axis_n(rng, kind.multi_metrics), 3);
+    const int n = std::min(axis_n(rng, accepts(kind, kMultiMetrics)), 3);
     ms.resize(static_cast<std::size_t>(n));
     w.kv("metrics", join(ms, ", "));
     any = true;
   }
   if (chance(rng, 0.7)) {
     std::vector<std::string> as = {"dec-bounded", "dec-only"};
-    const int n = std::min(axis_n(rng, kind.multi_attacks), 2);
+    const int n = std::min(axis_n(rng, accepts(kind, kMultiAttacks)), 2);
     as.resize(static_cast<std::size_t>(n));
     w.kv("attacks", join(as, ", "));
     any = true;
   }
   if (chance(rng, 0.8)) {
-    w.kv("damages", double_values(rng, axis_n(rng, kind.multi_damages), 40,
-                                  400, 0));
+    w.kv("damages", double_values(
+                        rng, axis_n(rng, accepts(kind, kMultiDamages)), 40,
+                        400, 0));
     any = true;
   }
   if (chance(rng, 0.7)) {
     w.kv("compromised",
-         double_values(rng, axis_n(rng, kind.multi_x), 0.05, 0.4, 2));
+         double_values(rng, axis_n(rng, accepts(kind, kMultiCompromised)),
+                       0.05, 0.4, 2));
     any = true;
   }
-  if (kind.densities) {
+  if (accepts(kind, kKeyDensities)) {
     w.kv("densities", int_values(rng, draw_int(rng, 1, 3), 50, 400));
     any = true;
   }
-  if (kind.dr_axes) {
-    if (chance(rng, 0.5)) w.kv("shapes", "grid, hex");
-    if (chance(rng, 0.5)) {
-      w.kv("localizers", "beaconless-mle, weighted-centroid");
-    }
-    if (chance(rng, 0.4)) {
-      w.kv("actual_sigmas", double_values(rng, draw_int(rng, 1, 3), 20, 80,
-                                          0));
-      w.kv("mismatch_coupling", chance(rng, 0.5) ? "axes" : "product");
-    }
-    if (chance(rng, 0.4)) {
-      w.kv("jitters", double_values(rng, draw_int(rng, 1, 2), 0.5, 10, 1));
-    }
-    if (chance(rng, 0.4)) w.kv("group_thresholds", "global, per_group");
+  if (accepts(kind, kMultiShapes) && chance(rng, 0.5)) {
+    w.kv("shapes", "grid, hex");
+    any = true;
+  }
+  if (accepts(kind, kMultiLocalizers) && chance(rng, 0.5)) {
+    w.kv("localizers", "beaconless-mle, weighted-centroid");
+    any = true;
+  }
+  if (accepts(kind, kMultiActualSigmas) && chance(rng, 0.4)) {
+    w.kv("actual_sigmas",
+         double_values(rng, draw_int(rng, 1, 3), 20, 80, 0));
+    w.kv("mismatch_coupling", chance(rng, 0.5) ? "axes" : "product");
+    any = true;
+  }
+  if (accepts(kind, kMultiJitters) && chance(rng, 0.4)) {
+    w.kv("jitters", double_values(rng, draw_int(rng, 1, 2), 0.5, 10, 1));
+    any = true;
+  }
+  if (accepts(kind, kKeyGroupThresholds) && chance(rng, 0.4)) {
+    w.kv("group_thresholds", "global, per_group");
     any = true;
   }
   // An empty [sweep] section is legal (all axes default); keep it
   // sometimes, but usually guarantee at least one key above.
   if (!any && chance(rng, 0.5)) {
-    w.kv("damages", double_values(rng, axis_n(rng, kind.multi_damages), 40,
-                                  400, 0));
+    w.kv("damages", double_values(
+                        rng, axis_n(rng, accepts(kind, kMultiDamages)), 40,
+                        400, 0));
   }
 }
 
-void emit_kind_section(ScnWriter& w, Rng& rng, const KindShape& kind) {
-  if (kind.section.empty()) return;
+/// The kind's own section, keys drawn from the row's value domains.
+void emit_kind_section(ScnWriter& w, Rng& rng, const KindSpec& kind) {
+  if (*kind.section == '\0') return;
   w.section(kind.section);
-  if (kind.section == "pdf") {
-    w.kv("grid", std::to_string(draw_int(rng, 2, 12)));
-  } else if (kind.section == "gz") {
-    w.kv("omegas", int_values(rng, draw_int(rng, 1, 4), 8, 256));
-  } else if (kind.section == "correction") {
-    w.kv("trials", std::to_string(draw_int(rng, 2, 40)));
-  } else if (kind.section == "echo") {
-    if (chance(rng, 0.7)) w.kv("trials", std::to_string(draw_int(rng, 2, 40)));
-    if (chance(rng, 0.5)) {
-      w.kv("grid_x", std::to_string(draw_int(rng, 2, 8)));
-      w.kv("grid_y", std::to_string(draw_int(rng, 2, 8)));
-    }
-    if (chance(rng, 0.5)) w.kv("range", fmt(rng.uniform(20, 120), 0));
-    if (chance(rng, 0.5)) {
-      w.kv("train_samples", std::to_string(draw_int(rng, 20, 200)));
-    }
-  } else if (kind.section == "mmse") {
-    w.kv("lies", double_values(rng, draw_int(rng, 1, 4), 0, 3200, 0));
-    if (chance(rng, 0.6)) {
-      // An empty dvhop_lies list is expressed by omitting the key, not by
-      // an empty value (the parser rejects "dvhop_lies =").
-      w.kv("dvhop_lies",
-           double_values(rng, draw_int(rng, 1, 3), 0, 1600, 0));
-    }
-    if (chance(rng, 0.5)) w.kv("trials", std::to_string(draw_int(rng, 2, 40)));
-    if (chance(rng, 0.5)) {
-      w.kv("dvhop_trials", std::to_string(draw_int(rng, 2, 20)));
-    }
-  } else if (kind.section == "threshold") {
-    // taus and/or fudges must survive; emit at least one non-empty.
-    const bool taus = chance(rng, 0.8);
-    if (taus) {
-      w.kv("taus", double_values(rng, draw_int(rng, 1, 4), 0.9, 0.999, 3));
-    }
-    if (!taus || chance(rng, 0.5)) {
-      w.kv("fudges", double_values(rng, draw_int(rng, 1, 4), 0.5, 2.0, 2));
-    }
-  } else if (kind.section == "evolve") {
-    if (chance(rng, 0.7)) w.kv("trials", std::to_string(draw_int(rng, 2, 40)));
-    if (chance(rng, 0.7)) w.kv("rounds", std::to_string(draw_int(rng, 1, 10)));
-    if (chance(rng, 0.5)) w.kv("step", std::to_string(draw_int(rng, 1, 8)));
-    if (chance(rng, 0.5)) w.kv("initial", std::to_string(draw_int(rng, 0, 6)));
-    if (chance(rng, 0.5)) {
-      w.kv("train_samples", std::to_string(draw_int(rng, 20, 200)));
-    }
-  } else if (kind.section == "coop") {
-    if (chance(rng, 0.7)) w.kv("trials", std::to_string(draw_int(rng, 2, 40)));
-    if (chance(rng, 0.5)) w.kv("radius", fmt(rng.uniform(40, 200), 0));
-    if (chance(rng, 0.5)) w.kv("majority", fmt(rng.uniform(0.2, 1.0), 2));
-    if (chance(rng, 0.5)) {
-      w.kv("train_samples", std::to_string(draw_int(rng, 20, 200)));
+  for (const SectionKey& k : kind.section_keys) {
+    if (!chance(rng, k.chance)) continue;
+    const int lo = static_cast<int>(k.lo);
+    const int hi = static_cast<int>(k.hi);
+    if (k.max_values > 1) {
+      const int n = draw_int(rng, 1, k.max_values);
+      w.kv(k.key, k.decimals == 0
+                      ? int_values(rng, n, lo, hi)
+                      : double_values(rng, n, k.lo, k.hi, k.decimals));
+    } else {
+      w.kv(k.key, k.decimals == 0 ? std::to_string(draw_int(rng, lo, hi))
+                                  : fmt(rng.uniform(k.lo, k.hi), k.decimals));
     }
   }
 }
@@ -264,7 +200,7 @@ void emit_kind_section(ScnWriter& w, Rng& rng, const KindShape& kind) {
 }  // namespace
 
 std::string generate_valid_scn(Rng& rng) {
-  const KindShape& kind = pick(rng, kind_shapes());
+  const KindSpec& kind = pick(rng, kind_table());
   ScnWriter w(rng);
 
   w.section("scenario");
@@ -314,21 +250,23 @@ std::string generate_valid_scn(Rng& rng) {
     if (chance(rng, 0.3)) {
       w.kv("dvhop_trials", std::to_string(draw_int(rng, 2, 30)));
     }
-    if (kind.densities && chance(rng, 0.5)) {
+    if (accepts(kind, kKeyDensities) && chance(rng, 0.5)) {
       w.kv("densities", int_values(rng, draw_int(rng, 1, 2), 50, 200));
     }
   }
 
-  if (kind.densities || chance(rng, 0.8)) emit_sweep(w, rng, kind);
+  if (accepts(kind, kKeyDensities) || chance(rng, 0.8)) {
+    emit_sweep(w, rng, kind);
+  }
 
   if (chance(rng, 0.6)) {
     w.section("detector");
     if (chance(rng, 0.6)) w.kv("tau", fmt(rng.uniform(0.5, 0.999), 3));
     if (chance(rng, 0.5)) w.kv("fp_budget", fmt(rng.uniform(0.005, 0.2), 3));
-    if (kind.dr_axes && chance(rng, 0.4)) {
+    if (accepts(kind, kKeyGroupMinSamples) && chance(rng, 0.4)) {
       w.kv("group_min_samples", std::to_string(draw_int(rng, 1, 200)));
     }
-    if (kind.name == "metric-fusion" && chance(rng, 0.3)) {
+    if (accepts(kind, kKeyBundle) && chance(rng, 0.3)) {
       // Parse-time valid; only an actual run would open the file.
       w.kv("bundle", "artifacts/fuzz.lad");
     }
@@ -437,12 +375,34 @@ std::string experiment_of(const std::vector<std::string>& lines) {
   return "";
 }
 
-/// The kind-specific section of `kind` ("" when it has none).
-std::string own_section_of(const std::string& kind) {
-  for (const KindShape& shape : kind_shapes()) {
-    if (shape.name == kind) return shape.section;
-  }
-  return "";
+/// A planted edit the spec's kind must reject: a second value on an axis
+/// it does not sweep, or a kind-only key it does not consume.
+struct UnsweptPlant {
+  unsigned bit;  ///< the KindAccepts bit that would make the edit valid
+  const char* section;
+  const char* key;
+  const char* line;
+};
+
+const std::vector<UnsweptPlant>& unswept_plants() {
+  static const std::vector<UnsweptPlant> plants = {
+      {kMultiShapes, "sweep", "shapes", "shapes = grid, hex"},
+      {kMultiLocalizers, "sweep", "localizers",
+       "localizers = beaconless-mle, dv-hop"},
+      {kMultiActualSigmas, "sweep", "actual_sigmas", "actual_sigmas = 20, 40"},
+      {kMultiJitters, "sweep", "jitters", "jitters = 1, 2"},
+      {kMultiMetrics, "sweep", "metrics", "metrics = diff, prob"},
+      {kMultiAttacks, "sweep", "attacks", "attacks = dec-bounded, dec-only"},
+      {kMultiDamages, "sweep", "damages", "damages = 40, 80"},
+      {kMultiCompromised, "sweep", "compromised", "compromised = 0.1, 0.2"},
+      {kKeyDensities, "sweep", "densities", "densities = 100, 300"},
+      {kKeyGroupThresholds, "sweep", "group_thresholds",
+       "group_thresholds = global, per_group"},
+      {kKeyGroupMinSamples, "detector", "group_min_samples",
+       "group_min_samples = 5"},
+      {kKeyBundle, "detector", "bundle", "bundle = artifacts/fuzz.lad"},
+  };
+  return plants;
 }
 
 }  // namespace
@@ -509,17 +469,19 @@ ScnMutation mutate_scn(const std::string& valid, Rng& rng,
   } else if (chosen == "foreign-kind-section") {
     // A kind section belonging to a DIFFERENT kind than the spec's: the
     // spec's own section (present or not) must not be a candidate.
-    const std::string own = own_section_of(kind);
+    const std::string own = find_kind(kind).section;
     std::vector<std::string> foreign;
-    for (const std::string& s : all_kind_sections()) {
-      if (s != own && after_section_header(lines, s) == std::string::npos) {
+    for (const KindSpec& row : kind_table()) {
+      const std::string s = row.section;
+      if (!s.empty() && s != own &&
+          after_section_header(lines, s) == std::string::npos) {
         foreign.push_back(s);
       }
     }
     const std::string section = pick(rng, foreign);
     m.needle = "[" + section + "]";
     lines.push_back("[" + section + "]");
-    lines.push_back(section == "pdf" ? "grid = 4" : "trials = 4");
+    lines.push_back("trials = 4");
   } else if (chosen == "bad-enum") {
     struct Choice { const char* key; const char* line; const char* needle; };
     static const std::vector<Choice> choices = {
@@ -552,15 +514,14 @@ ScnMutation mutate_scn(const std::string& valid, Rng& rng,
     m.needle = "empty";
     plant("sweep", "damages", "damages =");
   } else if (chosen == "unswept-axis") {
-    // Multi-valued localizers is a dr-sweep-only axis; a dr-sweep spec
-    // instead gets densities, which only density-sweep accepts.
-    if (kind == "dr-sweep") {
-      m.needle = "densities";
-      plant("sweep", "densities", "densities = 100, 300");
-    } else {
-      m.needle = "localizers";
-      plant("sweep", "localizers", "localizers = beaconless-mle, dv-hop");
+    const KindSpec& row = find_kind(kind);
+    std::vector<UnsweptPlant> candidates;
+    for (const UnsweptPlant& p : unswept_plants()) {
+      if (!accepts(row, p.bit)) candidates.push_back(p);
     }
+    const UnsweptPlant& p = pick(rng, candidates);
+    m.needle = p.key;
+    plant(p.section, p.key, p.line);
   } else if (chosen == "unterminated-header") {
     m.needle = "unterminated";
     lines.push_back("[broken");

@@ -1,6 +1,9 @@
-// ScenarioRunner: expands a ScenarioSpec's cartesian product into an
-// ordered work-item list and executes it (or one shard of it) through the
-// existing Pipeline / experiment entry points.
+// The experiment-kind table (sim/kind_table.h) and the ScenarioRunner that
+// executes it: each kind's row names its section, the axes and keys it
+// accepts, its item count, its table ids and its run function, which
+// expands the spec's cartesian product into an ordered work-item list and
+// executes it (or one shard of it) through the existing Pipeline /
+// experiment entry points.
 //
 // Work-item ids are assigned by iterating the expansion in a fixed order,
 // so ids are identical in every shard of the same spec.  All randomness is
@@ -45,6 +48,7 @@
 #include "rng/rng.h"
 #include "sim/experiment.h"
 #include "sim/item_scheduler.h"
+#include "sim/kind_table.h"
 #include "sim/latched_cache.h"
 #include "sim/pipeline.h"
 #include "stats/quantile.h"
@@ -53,11 +57,20 @@
 #include "stats/special.h"
 #include "util/assert.h"
 #include "util/csv.h"
+#include "util/kvconfig.h"
 #include "util/string_util.h"
 
 namespace lad {
 
 namespace {
+
+using detail::get_positive_int;
+using detail::require_non_empty;
+
+template <class T>
+long long len(const std::vector<T>& v) {
+  return static_cast<long long>(v.size());
+}
 
 /// The (actual_sigma, jitter) mismatch combinations a spec expands to.
 std::vector<std::pair<double, double>> mismatch_pairs(const ScenarioSpec& s) {
@@ -100,83 +113,94 @@ std::string dr_at_damage_label(double d) {
   return "DR@D=" + format_double(d, 0);
 }
 
-/// Total work items in a spec's full expansion.  Shared by num_items()
-/// and the per-kind empty-shard early-outs (a modulo shard owns at least
-/// one item exactly when its index is below this total).
-long long total_items(const ScenarioSpec& s) {
-  const long long metrics = static_cast<long long>(s.metrics.size());
-  const long long attacks = static_cast<long long>(s.attacks.size());
-  const long long damages = static_cast<long long>(s.damages.size());
-  const long long xs = static_cast<long long>(s.compromised.size());
-  switch (s.kind) {
-    case ExperimentKind::kRoc:
-      return metrics * attacks * damages * xs;
-    case ExperimentKind::kDrSweep:
-      return static_cast<long long>(s.group_threshold_modes.size()) *
-             static_cast<long long>(mismatch_pairs(s).size()) *
-             static_cast<long long>(s.shapes.size()) *
-             static_cast<long long>(s.localizers.size()) * metrics * attacks *
-             xs * damages;
-    case ExperimentKind::kDensitySweep:
-      return static_cast<long long>(s.densities.size()) * metrics * attacks *
-             xs * damages;
-    case ExperimentKind::kDeploymentPdf:
-      return 2;
-    case ExperimentKind::kGzAccuracy:
-      return static_cast<long long>(s.omegas.size());
-    case ExperimentKind::kCorrection:
-      return 1 + attacks * damages;
-    case ExperimentKind::kEchoComparison:
-      return 1 + damages;
-    case ExperimentKind::kMetricFusion:
-      return 1 + metrics;
-    case ExperimentKind::kMmseVulnerability:
-      return static_cast<long long>(s.lies.size()) +
-             static_cast<long long>(s.dvhop_lies.size());
-    case ExperimentKind::kThresholdSensitivity:
-      return static_cast<long long>(s.taus.size()) +
-             static_cast<long long>(s.fudges.size());
-    case ExperimentKind::kTimeEvolving:
-      return 1 + attacks * damages;
-    case ExperimentKind::kInNetwork:
-      return 1 + damages;
-  }
-  return 0;
-}
+/// The one deployed network the single-network kinds (correction, echo,
+/// evolve, coop) run on.  It consumes the head of Rng(seed); `rng` is
+/// left at the post-construction state, where their shared draws continue.
+struct Deployed {
+  Deployed(const DeploymentConfig& config, std::uint64_t seed)
+      : dcfg(config),
+        model(config),
+        gz({config.radio_range, config.sigma}),
+        // lad-lint: allow(rng-construct) -- historical root stream of the
+        // shared network; re-keying would change every golden CSV.
+        rng(seed),
+        net(model, rng) {}
+  Deployed(const Deployed&) = delete;
+  Deployed& operator=(const Deployed&) = delete;
 
-/// True when `shard` owns no item at all - the caller returns its
-/// header-only tables without building any shared state.
-bool shard_is_empty(const ShardRange& shard, const ScenarioSpec& s) {
-  return static_cast<long long>(shard.index) >= total_items(s);
-}
-
-/// The result-table ids each kind emits, in emission order.  Must stay in
-/// sync with the run_* builders below (guarded by a unit test that runs a
-/// spec of each kind and compares).
-std::vector<std::string> table_ids_for(const ScenarioSpec& s) {
-  switch (s.kind) {
-    case ExperimentKind::kRoc:
-      if (s.curve_points > 0) return {"summary", "curves"};
-      return {"summary"};
-    case ExperimentKind::kDrSweep: return {"dr"};
-    case ExperimentKind::kDensitySweep: return {"density"};
-    case ExperimentKind::kDeploymentPdf: return {"surface", "radial"};
-    case ExperimentKind::kGzAccuracy: return {"gz"};
-    case ExperimentKind::kCorrection: return {"benign_floor", "correction"};
-    case ExperimentKind::kEchoComparison: return {"meta", "echo"};
-    case ExperimentKind::kMetricFusion: return {"benign", "fusion"};
-    case ExperimentKind::kMmseVulnerability: return {"mmse", "dvhop"};
-    case ExperimentKind::kThresholdSensitivity: return {"tau", "fudge"};
-    case ExperimentKind::kTimeEvolving: return {"meta", "evolve"};
-    case ExperimentKind::kInNetwork: return {"fp", "coop"};
+  /// One trial batch: in-field victims, each drawn right before its
+  /// claimed location (displaced by `d`, or the true position when
+  /// d < 0), then one observation batch over all of them.  This rng call
+  /// order is what the golden CSVs pin.
+  struct Trials {
+    std::vector<std::size_t> nodes;
+    std::vector<Vec2> claims;
+    ObservationBatch batch;
+  };
+  Trials draw_trials(Rng& r, int trials, double d) const {
+    Trials out;
+    out.nodes.resize(static_cast<std::size_t>(trials));
+    out.claims.resize(out.nodes.size());
+    for (std::size_t t = 0; t < out.nodes.size(); ++t) {
+      std::size_t node;
+      do {
+        node = static_cast<std::size_t>(r.uniform_int(net.num_nodes()));
+      } while (!dcfg.field().contains(net.position(node)));
+      out.nodes[t] = node;
+      out.claims[t] = d < 0 ? net.position(node)
+                            : displaced_location(net.position(node), d,
+                                                 dcfg.field(), r);
+    }
+    net.observe_many(out.nodes, out.batch);
+    return out;
   }
-  LAD_REQUIRE_MSG(false, "invalid experiment kind");
-  return {};  // unreachable
-}
+
+  const DeploymentConfig& dcfg;
+  const DeploymentModel model;
+  const GzTable gz;
+  Rng rng;
+  const Network net;
+};
+
+/// Deployed plus the LAD detector echo, evolve and coop check claims
+/// with: `train_samples` benign samples drawn from the continuing root
+/// stream, localized by the beaconless MLE, thresholded at tau.
+struct TrainedDeployment : Deployed {
+  explicit TrainedDeployment(const ScenarioSpec& spec)
+      : Deployed(spec.pipeline.deploy, spec.pipeline.seed),
+        metric(spec.metrics.front()),
+        threshold(train(spec.train_samples, spec.tau)),
+        detector(model, gz, metric, threshold) {}
+
+  const MetricKind metric;
+  const double threshold;
+  const Detector detector;
+
+ private:
+  double train(int samples, double tau) {
+    const BeaconlessMleLocalizer localizer(model, gz);
+    const std::unique_ptr<Metric> scorer = make_metric(metric);
+    std::vector<std::size_t> nodes(static_cast<std::size_t>(samples));
+    for (std::size_t& node : nodes) {
+      node = static_cast<std::size_t>(rng.uniform_int(net.num_nodes()));
+    }
+    ObservationBatch batch;
+    net.observe_many(nodes, batch);
+    std::vector<double> scores;
+    scores.reserve(nodes.size());
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      const Observation obs = batch.to_observation(i);
+      scores.push_back(scorer->score(
+          obs, model.expected_observation(localizer.estimate(obs), gz),
+          dcfg.nodes_per_group));
+    }
+    return train_threshold(metric, scores, tau).threshold;
+  }
+};
 
 }  // namespace
 
-struct ScenarioRunner::Impl {
+struct ScenarioRunState {
   ScenarioSpec spec;
 
   /// One shared benign pass: per-metric scores plus each sample's victim
@@ -200,7 +224,30 @@ struct ScenarioRunner::Impl {
   // fits - invariant across the attack/x/damage axes, so trained once.
   LatchedCache<std::vector<GroupTrainingResult>> group_fits;
 
-  explicit Impl(const ScenarioSpec& s) : spec(s) {}
+  explicit ScenarioRunState(const ScenarioSpec& s) : spec(s) {}
+
+  /// A result carrying the kind's declared tables (KindSpec::table_ids),
+  /// one column list each, in order.
+  ScenarioResult new_result(
+      std::vector<std::vector<std::string>> columns) const {
+    const std::vector<std::string> ids = kind_spec(spec.kind).table_ids(spec);
+    LAD_REQUIRE_MSG(ids.size() == columns.size(),
+                    experiment_kind_name(spec.kind)
+                        << ": " << columns.size() << " column lists for "
+                        << ids.size() << " tables");
+    ScenarioResult result{spec.name, {}};
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      result.tables.push_back({ids[i], Table(std::move(columns[i])), {}});
+    }
+    return result;
+  }
+
+  /// True when `shard` owns no item at all - the caller returns its
+  /// header-only tables without building any shared state.
+  bool shard_is_empty(const ShardRange& shard) const {
+    return static_cast<long long>(shard.index) >=
+           kind_spec(spec.kind).items(spec);
+  }
 
   PipelineConfig group_config(DeploymentShape shape, double actual_sigma,
                               double jitter) const {
@@ -222,6 +269,14 @@ struct ScenarioRunner::Impl {
   Pipeline& pipeline_for(const PipelineConfig& cfg) {
     return pipelines.get(config_key(cfg),
                          [&] { return std::make_unique<Pipeline>(cfg); });
+  }
+
+  /// The pipeline at every axis's first value (the kinds that do not
+  /// sweep the deployment).
+  Pipeline& base_pipeline() {
+    return pipeline_for(group_config(spec.shapes.front(),
+                                     spec.actual_sigmas.front(),
+                                     spec.jitters.front()));
   }
 
   /// Benign scores for every spec metric under one (pipeline, localizer);
@@ -272,16 +327,16 @@ struct ScenarioRunner::Impl {
   }
 
   const std::vector<double>& attack_scores_cached(Pipeline& pipeline,
-                                                  const AttackSpec& spec_) {
+                                                  const AttackSpec& attack) {
     std::ostringstream key;
-    key << spec_.damage;
+    key << attack.damage;
     return attack_cache.get(key.str(), [&] {
       return std::make_unique<std::vector<double>>(
-          pipeline.attack_scores(spec_));
+          pipeline.attack_scores(attack));
     });
   }
 
-  // --- per-kind execution ----------------------------------------------
+  // --- per-kind execution (one per KindSpec row) ------------------------
   ScenarioResult run_roc(const ShardRange& shard);
   ScenarioResult run_dr(const ShardRange& shard);
   ScenarioResult run_density(const ShardRange& shard);
@@ -296,17 +351,218 @@ struct ScenarioRunner::Impl {
   ScenarioResult run_coop(const ShardRange& shard);
 };
 
+// --- the kind sections --------------------------------------------------
+
+namespace {
+
+void parse_pdf(const KvConfig::Section& p, ScenarioSpec& spec) {
+  spec.pdf_grid = get_positive_int(p, "grid", spec.pdf_grid);
+  LAD_REQUIRE_MSG(spec.pdf_grid >= 2, "[pdf] grid must be >= 2");
+}
+
+void parse_gz(const KvConfig::Section& g, ScenarioSpec& spec) {
+  spec.omegas = g.get_int_list("omegas", spec.omegas);
+  LAD_REQUIRE_MSG(!spec.omegas.empty(), "sweep list 'omegas' is empty");
+}
+
+void parse_correction(const KvConfig::Section& c, ScenarioSpec& spec) {
+  spec.trials = get_positive_int(c, "trials", spec.trials);
+}
+
+void parse_echo(const KvConfig::Section& e, ScenarioSpec& spec) {
+  spec.trials = get_positive_int(e, "trials", spec.trials);
+  spec.echo_grid_x = get_positive_int(e, "grid_x", spec.echo_grid_x);
+  spec.echo_grid_y = get_positive_int(e, "grid_y", spec.echo_grid_y);
+  spec.echo_range = e.get_double("range", spec.echo_range);
+  spec.train_samples =
+      get_positive_int(e, "train_samples", spec.train_samples);
+}
+
+void parse_mmse(const KvConfig::Section& m, ScenarioSpec& spec) {
+  spec.lies = m.get_double_list("lies", spec.lies);
+  require_non_empty(spec.lies, "lies");
+  spec.trials = get_positive_int(m, "trials", spec.trials);
+  spec.dvhop_lies = m.get_double_list("dvhop_lies", spec.dvhop_lies);
+  spec.dvhop_trials = get_positive_int(m, "dvhop_trials", spec.dvhop_trials);
+}
+
+void parse_threshold(const KvConfig::Section& t, ScenarioSpec& spec) {
+  spec.taus = t.get_double_list("taus", spec.taus);
+  spec.fudges = t.get_double_list("fudges", spec.fudges);
+  LAD_REQUIRE_MSG(!spec.taus.empty() || !spec.fudges.empty(),
+                  "threshold-sensitivity needs taus and/or fudges");
+  for (double tau : spec.taus) {
+    LAD_REQUIRE_MSG(tau > 0 && tau < 1, "[threshold] taus must be in (0,1)");
+  }
+}
+
+void parse_evolve(const KvConfig::Section& e, ScenarioSpec& spec) {
+  spec.trials = get_positive_int(e, "trials", spec.trials);
+  spec.evolve_rounds = get_positive_int(e, "rounds", spec.evolve_rounds);
+  spec.evolve_step = get_positive_int(e, "step", spec.evolve_step);
+  const long long initial = e.get_int("initial", spec.evolve_initial);
+  LAD_REQUIRE_MSG(initial >= 0,
+                  "[evolve] initial must be >= 0, got " << initial);
+  spec.evolve_initial = static_cast<int>(initial);
+  spec.train_samples =
+      get_positive_int(e, "train_samples", spec.train_samples);
+}
+
+void parse_coop(const KvConfig::Section& c, ScenarioSpec& spec) {
+  spec.trials = get_positive_int(c, "trials", spec.trials);
+  spec.coop_radius = c.get_double("radius", spec.coop_radius);
+  LAD_REQUIRE_MSG(spec.coop_radius > 0, "[coop] radius must be > 0, got "
+                                            << spec.coop_radius);
+  spec.coop_majority = c.get_double("majority", spec.coop_majority);
+  LAD_REQUIRE_MSG(spec.coop_majority > 0 && spec.coop_majority <= 1,
+                  "[coop] majority must be in (0,1], got "
+                      << spec.coop_majority);
+  spec.train_samples =
+      get_positive_int(c, "train_samples", spec.train_samples);
+}
+
+using Ids = std::vector<std::string>;
+
+/// The axes of the paper's metric x attack x x x D grid.
+constexpr unsigned kGridAxes =
+    kMultiMetrics | kMultiAttacks | kMultiDamages | kMultiCompromised;
+/// The deployment / localizer axes only dr-sweep expands.
+constexpr unsigned kDeploymentAxes =
+    kMultiShapes | kMultiLocalizers | kMultiActualSigmas | kMultiJitters;
+
+}  // namespace
+
+// --- the table ----------------------------------------------------------
+
+const std::vector<KindSpec>& kind_table() {
+  using S = ScenarioRunState;
+  using Spec = ScenarioSpec;
+  // Row: kind, name, own section, accepts, section parser, section keys
+  // (fuzz domains: key, lo, hi, decimals, max values, chance), items,
+  // table ids, run.
+  static const std::vector<KindSpec> table = {
+      {ExperimentKind::kRoc, "roc", "", kGridAxes, nullptr, {},
+       [](const Spec& s) {
+         return len(s.metrics) * len(s.attacks) * len(s.damages) *
+                len(s.compromised);
+       },
+       [](const Spec& s) {
+         return s.curve_points > 0 ? Ids{"summary", "curves"}
+                                   : Ids{"summary"};
+       },
+       &S::run_roc},
+      {ExperimentKind::kDrSweep, "dr-sweep", "",
+       kGridAxes | kDeploymentAxes | kKeyGroupThresholds |
+           kKeyGroupMinSamples,
+       nullptr, {},
+       [](const Spec& s) {
+         return len(s.group_threshold_modes) * len(mismatch_pairs(s)) *
+                len(s.shapes) * len(s.localizers) * len(s.metrics) *
+                len(s.attacks) * len(s.compromised) * len(s.damages);
+       },
+       [](const Spec&) { return Ids{"dr"}; }, &S::run_dr},
+      {ExperimentKind::kDensitySweep, "density-sweep", "",
+       kGridAxes | kKeyDensities, nullptr, {},
+       [](const Spec& s) {
+         return len(s.densities) * len(s.metrics) * len(s.attacks) *
+                len(s.compromised) * len(s.damages);
+       },
+       [](const Spec&) { return Ids{"density"}; }, &S::run_density},
+      {ExperimentKind::kDeploymentPdf, "deployment-pdf", "pdf", 0, parse_pdf,
+       {{"grid", 2, 12, 0, 1, 1.0}},
+       [](const Spec&) { return 2LL; },
+       [](const Spec&) { return Ids{"surface", "radial"}; }, &S::run_pdf},
+      {ExperimentKind::kGzAccuracy, "gz-accuracy", "gz", 0, parse_gz,
+       {{"omegas", 8, 256, 0, 4, 1.0}},
+       [](const Spec& s) { return len(s.omegas); },
+       [](const Spec&) { return Ids{"gz"}; }, &S::run_gz},
+      {ExperimentKind::kCorrection, "correction", "correction",
+       kMultiAttacks | kMultiDamages, parse_correction,
+       {{"trials", 2, 40, 0, 1, 1.0}},
+       [](const Spec& s) { return 1 + len(s.attacks) * len(s.damages); },
+       [](const Spec&) { return Ids{"benign_floor", "correction"}; },
+       &S::run_correction},
+      {ExperimentKind::kEchoComparison, "echo-comparison", "echo",
+       kMultiDamages, parse_echo,
+       {{"trials", 2, 40, 0, 1, 0.7},
+        {"grid_x", 2, 8, 0, 1, 0.5},
+        {"grid_y", 2, 8, 0, 1, 0.5},
+        {"range", 20, 120, 0, 1, 0.5},
+        {"train_samples", 20, 200, 0, 1, 0.5}},
+       [](const Spec& s) { return 1 + len(s.damages); },
+       [](const Spec&) { return Ids{"meta", "echo"}; }, &S::run_echo},
+      {ExperimentKind::kMetricFusion, "metric-fusion", "",
+       kMultiMetrics | kKeyBundle, nullptr, {},
+       [](const Spec& s) { return 1 + len(s.metrics); },
+       [](const Spec&) { return Ids{"benign", "fusion"}; }, &S::run_fusion},
+      {ExperimentKind::kMmseVulnerability, "mmse-vulnerability", "mmse", 0,
+       parse_mmse,
+       {{"lies", 0, 3200, 0, 4, 1.0},
+        {"dvhop_lies", 0, 1600, 0, 3, 0.6},
+        {"trials", 2, 40, 0, 1, 0.5},
+        {"dvhop_trials", 2, 20, 0, 1, 0.5}},
+       [](const Spec& s) { return len(s.lies) + len(s.dvhop_lies); },
+       [](const Spec&) { return Ids{"mmse", "dvhop"}; }, &S::run_mmse},
+      {ExperimentKind::kThresholdSensitivity, "threshold-sensitivity",
+       "threshold", kMultiDamages, parse_threshold,
+       {{"taus", 0.9, 0.999, 3, 4, 0.8}, {"fudges", 0.5, 2.0, 2, 4, 0.5}},
+       [](const Spec& s) { return len(s.taus) + len(s.fudges); },
+       [](const Spec&) { return Ids{"tau", "fudge"}; }, &S::run_threshold},
+      {ExperimentKind::kTimeEvolving, "time-evolving", "evolve",
+       kMultiAttacks | kMultiDamages, parse_evolve,
+       {{"trials", 2, 40, 0, 1, 0.7},
+        {"rounds", 1, 10, 0, 1, 0.7},
+        {"step", 1, 8, 0, 1, 0.5},
+        {"initial", 0, 6, 0, 1, 0.5},
+        {"train_samples", 20, 200, 0, 1, 0.5}},
+       [](const Spec& s) { return 1 + len(s.attacks) * len(s.damages); },
+       [](const Spec&) { return Ids{"meta", "evolve"}; }, &S::run_evolve},
+      {ExperimentKind::kInNetwork, "in-network", "coop", kMultiDamages,
+       parse_coop,
+       {{"trials", 2, 40, 0, 1, 0.7},
+        {"radius", 40, 200, 0, 1, 0.5},
+        {"majority", 0.2, 1.0, 2, 1, 0.5},
+        {"train_samples", 20, 200, 0, 1, 0.5}},
+       [](const Spec& s) { return 1 + len(s.damages); },
+       [](const Spec&) { return Ids{"fp", "coop"}; }, &S::run_coop},
+  };
+  return table;
+}
+
+const KindSpec& kind_spec(ExperimentKind kind) {
+  for (const KindSpec& row : kind_table()) {
+    if (row.kind == kind) return row;
+  }
+  LAD_REQUIRE_MSG(false, "invalid experiment kind");
+  return kind_table().front();  // unreachable
+}
+
+const KindSpec& find_kind(const std::string& name) {
+  const std::string n = to_lower(name);
+  for (const KindSpec& row : kind_table()) {
+    if (n == row.name) return row;
+  }
+  LAD_REQUIRE_MSG(false, "unknown experiment kind: '" << name << "'");
+  return kind_table().front();  // unreachable
+}
+
+const char* experiment_kind_name(ExperimentKind kind) {
+  return kind_spec(kind).name;
+}
+
+// --- ScenarioRunner -----------------------------------------------------
+
 ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec)
-    : impl_(std::make_unique<Impl>(spec)) {}
+    : state_(std::make_unique<ScenarioRunState>(spec)) {}
 
 ScenarioRunner::~ScenarioRunner() = default;
 
 long long ScenarioRunner::num_items() const {
-  return total_items(impl_->spec);
+  return kind_spec(state_->spec.kind).items(state_->spec);
 }
 
 std::vector<std::string> ScenarioRunner::table_ids() const {
-  return table_ids_for(impl_->spec);
+  return kind_spec(state_->spec.kind).table_ids(state_->spec);
 }
 
 bool ScenarioRunner::output_complete(const std::string& dir,
@@ -321,7 +577,7 @@ bool ScenarioRunner::output_complete(const std::string& dir,
   std::set<long long> found;
   for (const std::string& id : table_ids()) {
     const fs::path path =
-        fs::path(dir) / (impl_->spec.name + "." + id + ".csv");
+        fs::path(dir) / (state_->spec.name + "." + id + ".csv");
     std::ifstream is(path);
     if (!is) return incomplete("missing " + path.string());
     std::string line;
@@ -365,26 +621,12 @@ ScenarioResult ScenarioRunner::run(const ShardRange& shard) {
   LAD_REQUIRE_MSG(shard.count >= 1 && shard.index >= 0 &&
                       shard.index < shard.count,
                   "invalid shard range " << shard.index << "/" << shard.count);
-  switch (impl_->spec.kind) {
-    case ExperimentKind::kRoc: return impl_->run_roc(shard);
-    case ExperimentKind::kDrSweep: return impl_->run_dr(shard);
-    case ExperimentKind::kDensitySweep: return impl_->run_density(shard);
-    case ExperimentKind::kDeploymentPdf: return impl_->run_pdf(shard);
-    case ExperimentKind::kGzAccuracy: return impl_->run_gz(shard);
-    case ExperimentKind::kCorrection: return impl_->run_correction(shard);
-    case ExperimentKind::kEchoComparison: return impl_->run_echo(shard);
-    case ExperimentKind::kMetricFusion: return impl_->run_fusion(shard);
-    case ExperimentKind::kMmseVulnerability: return impl_->run_mmse(shard);
-    case ExperimentKind::kThresholdSensitivity:
-      return impl_->run_threshold(shard);
-    case ExperimentKind::kTimeEvolving: return impl_->run_evolve(shard);
-    case ExperimentKind::kInNetwork: return impl_->run_coop(shard);
-  }
-  LAD_REQUIRE_MSG(false, "invalid experiment kind");
-  return {};  // unreachable
+  return ((*state_).*kind_spec(state_->spec.kind).run)(shard);
 }
 
-ScenarioResult ScenarioRunner::Impl::run_roc(const ShardRange& shard) {
+// --- the run functions --------------------------------------------------
+
+ScenarioResult ScenarioRunState::run_roc(const ShardRange& shard) {
   const bool many_metrics = spec.metrics.size() > 1;
   const bool many_attacks = spec.attacks.size() > 1;
   const bool many_xs = spec.compromised.size() > 1;
@@ -402,11 +644,9 @@ ScenarioResult ScenarioRunner::Impl::run_roc(const ShardRange& shard) {
   curve_cols.push_back("FP");
   curve_cols.push_back("DR");
 
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back({"summary", Table(summary_cols), {}});
-  if (spec.curve_points > 0) {
-    result.tables.push_back({"curves", Table(curve_cols), {}});
-  }
+  std::vector<std::vector<std::string>> columns = {summary_cols};
+  if (spec.curve_points > 0) columns.push_back(curve_cols);
+  ScenarioResult result = new_result(std::move(columns));
 
   ItemScheduler sched(result, spec.jobs);
   long long item = -1;
@@ -418,19 +658,12 @@ ScenarioResult ScenarioRunner::Impl::run_roc(const ShardRange& shard) {
           if (!shard.contains(item)) continue;
           sched.add(item, [this, metric, cls, d, x, many_metrics,
                            many_attacks, many_xs](ItemSink& sink) {
-            Pipeline& pipeline = pipeline_for(
-                group_config(spec.shapes.front(), spec.actual_sigmas.front(),
-                             spec.jitters.front()));
+            Pipeline& pipeline = base_pipeline();
             const std::vector<double>& benign_scores =
                 benign_for(pipeline, spec.localizers.front())
                     .scores.at(metric);
-            AttackSpec attack;
-            attack.metric = metric;
-            attack.attack_class = cls;
-            attack.damage = d;
-            attack.compromised_frac = x;
             const RocCurve curve(benign_scores,
-                                 pipeline.attack_scores(attack));
+                                 pipeline.attack_scores({metric, cls, d, x}));
 
             auto add_dims = [&](Table& t) -> Table& {
               if (many_metrics) t.add(metric_name(metric));
@@ -463,7 +696,7 @@ ScenarioResult ScenarioRunner::Impl::run_roc(const ShardRange& shard) {
   return result;
 }
 
-ScenarioResult ScenarioRunner::Impl::run_dr(const ShardRange& shard) {
+ScenarioResult ScenarioRunState::run_dr(const ShardRange& shard) {
   const auto pairs = mismatch_pairs(spec);
   const bool many_sigmas = spec.actual_sigmas.size() > 1;
   const bool many_jitters = spec.jitters.size() > 1;
@@ -500,8 +733,7 @@ ScenarioResult ScenarioRunner::Impl::run_dr(const ShardRange& shard) {
   }
   if (spec.loc_error) cols.push_back("loc_error");
 
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back({"dr", Table(cols), {}});
+  ScenarioResult result = new_result({cols});
 
   // fraction of `scores` above its victim-group threshold, restricted to
   // samples whose group passes `keep` (empty selection -> 0).
@@ -548,14 +780,10 @@ ScenarioResult ScenarioRunner::Impl::run_dr(const ShardRange& shard) {
                         benign_pass.scores.at(metric);
                     const ThresholdFit fit =
                         fit_threshold(metric, benign_scores, spec.fp_budget);
-                    AttackSpec attack;
-                    attack.metric = metric;
-                    attack.attack_class = cls;
-                    attack.damage = d;
-                    attack.compromised_frac = x;
                     std::vector<int> attack_groups;
                     const std::vector<double> scores = pipeline.attack_scores(
-                        attack, split_groups ? &attack_groups : nullptr);
+                        {metric, cls, d, x},
+                        split_groups ? &attack_groups : nullptr);
 
                     // Per-group threshold vector: the pooled fit everywhere,
                     // boundary groups re-fitted on their own benign buckets
@@ -638,7 +866,7 @@ ScenarioResult ScenarioRunner::Impl::run_dr(const ShardRange& shard) {
   return result;
 }
 
-ScenarioResult ScenarioRunner::Impl::run_density(const ShardRange& shard) {
+ScenarioResult ScenarioRunState::run_density(const ShardRange& shard) {
   const bool many_metrics = spec.metrics.size() > 1;
   const bool many_attacks = spec.attacks.size() > 1;
 
@@ -647,8 +875,7 @@ ScenarioResult ScenarioRunner::Impl::run_density(const ShardRange& shard) {
   if (many_attacks) cols.push_back("attack");
   cols.insert(cols.end(), {"x", "D", "DR", "mle_loc_error", "threshold"});
 
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back({"density", Table(cols), {}});
+  ScenarioResult result = new_result({cols});
 
   ItemScheduler sched(result, spec.jobs);
   long long item = -1;
@@ -669,13 +896,8 @@ ScenarioResult ScenarioRunner::Impl::run_density(const ShardRange& shard) {
               const ThresholdFit fit = fit_threshold(
                   metric, benign_for(pipeline, localizer).scores.at(metric),
                   spec.fp_budget);
-              AttackSpec attack;
-              attack.metric = metric;
-              attack.attack_class = cls;
-              attack.damage = d;
-              attack.compromised_frac = x;
               const std::vector<double> scores =
-                  pipeline.attack_scores(attack);
+                  pipeline.attack_scores({metric, cls, d, x});
 
               Table& row = sink.row(0);
               row.add(m);
@@ -696,13 +918,11 @@ ScenarioResult ScenarioRunner::Impl::run_density(const ShardRange& shard) {
   return result;
 }
 
-ScenarioResult ScenarioRunner::Impl::run_pdf(const ShardRange& shard) {
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back({"surface", Table({"x", "y", "pdf"}), {}});
-  result.tables.push_back(
-      {"radial", Table({"distance_from_deployment_point", "pdf",
-                        "fraction_within_distance"}),
-       {}});
+ScenarioResult ScenarioRunState::run_pdf(const ShardRange& shard) {
+  ScenarioResult result =
+      new_result({{"x", "y", "pdf"},
+                  {"distance_from_deployment_point", "pdf",
+                   "fraction_within_distance"}});
 
   const double sigma = spec.pipeline.deploy.sigma;
   const Vec2 dp{150.0, 150.0};  // the paper's Figure 2 group
@@ -736,12 +956,9 @@ ScenarioResult ScenarioRunner::Impl::run_pdf(const ShardRange& shard) {
   return result;
 }
 
-ScenarioResult ScenarioRunner::Impl::run_gz(const ShardRange& shard) {
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back(
-      {"gz", Table({"omega", "max_abs_error", "max_mu_error_nodes",
-                    "table_bytes"}),
-       {}});
+ScenarioResult ScenarioRunState::run_gz(const ShardRange& shard) {
+  ScenarioResult result = new_result(
+      {{"omega", "max_abs_error", "max_mu_error_nodes", "table_bytes"}});
   const GzParams params{spec.pipeline.deploy.radio_range,
                         spec.pipeline.deploy.sigma};
   const int m = spec.pipeline.deploy.nodes_per_group;
@@ -764,41 +981,20 @@ ScenarioResult ScenarioRunner::Impl::run_gz(const ShardRange& shard) {
   return result;
 }
 
-ScenarioResult ScenarioRunner::Impl::run_correction(const ShardRange& shard) {
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back(
-      {"benign_floor", Table({"mean_err", "max_err", "trials"}), {}});
-  result.tables.push_back(
-      {"correction",
-       Table({"attack", "D", "err_accepting_Le", "err_corrected_mean",
-              "err_corrected_p90", "recovered_frac"}),
-       {}});
-  if (shard_is_empty(shard, spec)) return result;
+ScenarioResult ScenarioRunState::run_correction(const ShardRange& shard) {
+  ScenarioResult result =
+      new_result({{"mean_err", "max_err", "trials"},
+                  {"attack", "D", "err_accepting_Le", "err_corrected_mean",
+                   "err_corrected_p90", "recovered_frac"}});
+  if (shard_is_empty(shard)) return result;
 
-  const DeploymentConfig& dcfg = spec.pipeline.deploy;
   const std::uint64_t seed = spec.pipeline.seed;
   const double x = spec.compromised.front();
   const MetricKind target = spec.metrics.front();
   const int trials = spec.trials;
 
-  const DeploymentModel model(dcfg);
-  const GzTable gz({dcfg.radio_range, dcfg.sigma});
-  // The deployed network consumes the head of Rng(seed); the benign-floor
-  // item continues from the post-construction state, so the same network
-  // and floor fall out of any shard that needs them.
-  // lad-lint: allow(rng-construct) -- historical root stream for this
-  // work item; re-keying would change every golden CSV.
-  Rng rng(seed);
-  const Network net(model, rng);
-  const LocationCorrector corrector(model, gz);
-
-  auto draw_in_field = [&](Rng& r) {
-    std::size_t node;
-    do {
-      node = static_cast<std::size_t>(r.uniform_int(net.num_nodes()));
-    } while (!dcfg.field().contains(net.position(node)));
-    return node;
-  };
+  const Deployed dep(spec.pipeline.deploy, seed);
+  const LocationCorrector corrector(dep.model, dep.gz);
 
   ItemScheduler sched(result, spec.jobs);
   if (shard.contains(0)) {
@@ -806,22 +1002,14 @@ ScenarioResult ScenarioRunner::Impl::run_correction(const ShardRange& shard) {
     // post-Network-construction state; the closure owns a value copy so
     // the draw sequence matches the historical sequential run no matter
     // when (or on which thread) the item executes.
-    sched.add(0, [rng, trials, &net, &corrector,
-                  &draw_in_field](ItemSink& sink) {
+    sched.add(0, [rng = dep.rng, trials, &dep, &corrector](ItemSink& sink) {
       Rng floor_rng = rng;
+      const Deployed::Trials draw = dep.draw_trials(floor_rng, trials, -1.0);
       RunningStats floor;
-      // Draw every floor sample first (identical rng call order), then one
-      // observation batch over all of them.
-      std::vector<std::size_t> nodes(static_cast<std::size_t>(trials));
-      for (std::size_t t = 0; t < nodes.size(); ++t) {
-        nodes[t] = draw_in_field(floor_rng);
-      }
-      ObservationBatch batch;
-      net.observe_many(nodes, batch);
-      for (std::size_t t = 0; t < nodes.size(); ++t) {
-        floor.add(
-            distance(corrector.correct(batch.to_observation(t)).corrected,
-                     net.position(nodes[t])));
+      for (std::size_t t = 0; t < draw.nodes.size(); ++t) {
+        floor.add(distance(
+            corrector.correct(draw.batch.to_observation(t)).corrected,
+            dep.net.position(draw.nodes[t])));
       }
       sink.row(0).add(floor.mean(), 1).add(floor.max(), 1).add(trials);
     });
@@ -832,33 +1020,22 @@ ScenarioResult ScenarioRunner::Impl::run_correction(const ShardRange& shard) {
     for (double d : spec.damages) {
       ++item;
       if (!shard.contains(item)) continue;
-      sched.add(item, [item, cls, d, seed, trials, x, target, &net, &model,
-                       &gz, &corrector, &dcfg,
-                       &draw_in_field](ItemSink& sink) {
-        std::vector<double> errs;
+      sched.add(item, [item, cls, d, seed, trials, x, target, &dep,
+                       &corrector](ItemSink& sink) {
         // Keyed by item id, not by the (possibly fractional) damage value,
         // so distinct cells never share a stream.
         Rng trial_rng = Rng::stream(seed, static_cast<std::uint64_t>(item));
-        // Victim + Le draws first (same rng call order as the historical
-        // per-trial loop), then a single observation batch.
-        std::vector<std::size_t> nodes(static_cast<std::size_t>(trials));
-        std::vector<Vec2> les(nodes.size());
-        for (std::size_t t = 0; t < nodes.size(); ++t) {
-          nodes[t] = draw_in_field(trial_rng);
-          les[t] = displaced_location(net.position(nodes[t]), d, dcfg.field(),
-                                      trial_rng);
-        }
-        ObservationBatch batch;
-        net.observe_many(nodes, batch);
-        for (std::size_t t = 0; t < nodes.size(); ++t) {
-          const Observation a = batch.to_observation(t);
+        const Deployed::Trials draw = dep.draw_trials(trial_rng, trials, d);
+        std::vector<double> errs;
+        for (std::size_t t = 0; t < draw.nodes.size(); ++t) {
+          const Observation a = draw.batch.to_observation(t);
           const ExpectedObservation mu =
-              model.expected_observation(les[t], gz);
+              dep.model.expected_observation(draw.claims[t], dep.gz);
           const TaintResult taint =
-              greedy_taint(a, mu, dcfg.nodes_per_group, target, cls,
+              greedy_taint(a, mu, dep.dcfg.nodes_per_group, target, cls,
                            static_cast<int>(x * a.total()));
           errs.push_back(distance(corrector.correct(taint.tainted).corrected,
-                                  net.position(nodes[t])));
+                                  dep.net.position(draw.nodes[t])));
         }
         double mean = 0.0;
         int recovered = 0;
@@ -885,56 +1062,25 @@ ScenarioResult ScenarioRunner::Impl::run_correction(const ShardRange& shard) {
   return result;
 }
 
-ScenarioResult ScenarioRunner::Impl::run_echo(const ShardRange& shard) {
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back(
-      {"meta", Table({"echo_coverage", "lad_threshold"}), {}});
-  result.tables.push_back(
-      {"echo", Table({"D", "echo_rejected", "echo_accepted", "echo_uncovered",
-                      "echo_DR", "lad_DR"}),
-       {}});
-  if (shard_is_empty(shard, spec)) return result;
+ScenarioResult ScenarioRunState::run_echo(const ShardRange& shard) {
+  ScenarioResult result =
+      new_result({{"echo_coverage", "lad_threshold"},
+                  {"D", "echo_rejected", "echo_accepted", "echo_uncovered",
+                   "echo_DR", "lad_DR"}});
+  if (shard_is_empty(shard)) return result;
 
-  const DeploymentConfig& dcfg = spec.pipeline.deploy;
   const std::uint64_t seed = spec.pipeline.seed;
-  const MetricKind metric = spec.metrics.front();
   const double x = spec.compromised.front();
-
-  const DeploymentModel model(dcfg);
-  const GzTable gz({dcfg.radio_range, dcfg.sigma});
-  // lad-lint: allow(rng-construct) -- historical root stream for this
-  // work item; re-keying would change every golden CSV.
-  Rng rng(seed);
-  const Network net(model, rng);
-  const BeaconlessMleLocalizer localizer(model, gz);
+  const TrainedDeployment dep(spec);
   const EchoProtocol echo = EchoProtocol::grid(
-      dcfg.field(), spec.echo_grid_x, spec.echo_grid_y, spec.echo_range);
-
-  // Train LAD on benign samples (continues the shared rng, like the net).
-  const std::unique_ptr<Metric> scorer = make_metric(metric);
-  std::vector<double> benign_scores;
-  std::vector<std::size_t> train_nodes(
-      static_cast<std::size_t>(spec.echo_train_samples));
-  for (std::size_t i = 0; i < train_nodes.size(); ++i) {
-    train_nodes[i] = static_cast<std::size_t>(rng.uniform_int(net.num_nodes()));
-  }
-  ObservationBatch train_batch;
-  net.observe_many(train_nodes, train_batch);
-  for (std::size_t i = 0; i < train_nodes.size(); ++i) {
-    const Observation obs = train_batch.to_observation(i);
-    benign_scores.push_back(
-        scorer->score(obs,
-                      model.expected_observation(localizer.estimate(obs), gz),
-                      dcfg.nodes_per_group));
-  }
-  const double threshold =
-      train_threshold(metric, benign_scores, spec.tau).threshold;
-  const Detector detector(model, gz, metric, threshold);
+      dep.dcfg.field(), spec.echo_grid_x, spec.echo_grid_y, spec.echo_range);
 
   ItemScheduler sched(result, spec.jobs);
   if (shard.contains(0)) {
-    sched.add(0, [threshold, &echo, &dcfg](ItemSink& sink) {
-      sink.row(0).add(echo.coverage(dcfg.field()), 3).add(threshold, 2);
+    sched.add(0, [&echo, &dep](ItemSink& sink) {
+      sink.row(0)
+          .add(echo.coverage(dep.dcfg.field()), 3)
+          .add(dep.threshold, 2);
     });
   }
 
@@ -942,31 +1088,16 @@ ScenarioResult ScenarioRunner::Impl::run_echo(const ShardRange& shard) {
   for (double d : spec.damages) {
     ++item;
     if (!shard.contains(item)) continue;
-    sched.add(item, [this, item, d, seed, metric, x, &net, &model, &gz,
-                     &echo, &detector, &dcfg](ItemSink& sink) {
+    sched.add(item, [this, item, d, seed, x, &echo, &dep](ItemSink& sink) {
       int rejected = 0, accepted = 0, uncovered = 0, lad_detected = 0;
       // Keyed by item id (see run_correction): damage values never collide
       // with each other or with the shared training stream.
       Rng trial_rng = Rng::stream(seed, static_cast<std::uint64_t>(item));
-      // Victim + claimed-location draws first (same rng call order), then
-      // one observation batch over the trials.
-      std::vector<std::size_t> nodes(static_cast<std::size_t>(spec.trials));
-      std::vector<Vec2> claims(nodes.size());
-      for (std::size_t t = 0; t < nodes.size(); ++t) {
-        std::size_t node;
-        do {
-          node =
-              static_cast<std::size_t>(trial_rng.uniform_int(net.num_nodes()));
-        } while (!dcfg.field().contains(net.position(node)));
-        nodes[t] = node;
-        claims[t] =
-            displaced_location(net.position(node), d, dcfg.field(), trial_rng);
-      }
-      ObservationBatch batch;
-      net.observe_many(nodes, batch);
-      for (std::size_t t = 0; t < nodes.size(); ++t) {
-        const Vec2 la = net.position(nodes[t]);
-        const Vec2 claimed = claims[t];
+      const Deployed::Trials draw =
+          dep.draw_trials(trial_rng, spec.trials, d);
+      for (std::size_t t = 0; t < draw.nodes.size(); ++t) {
+        const Vec2 la = dep.net.position(draw.nodes[t]);
+        const Vec2 claimed = draw.claims[t];
 
         // The attacker may stretch the echo (delay >= 0) but never shrink
         // it; testing the honest echo plus one large delay covers the
@@ -979,12 +1110,15 @@ ScenarioResult ScenarioRunner::Impl::run_echo(const ShardRange& shard) {
         else if (verdict == 1) ++accepted;
         else ++rejected;
 
-        const Observation a = batch.to_observation(t);
-        const ExpectedObservation mu = model.expected_observation(claimed, gz);
+        const Observation a = draw.batch.to_observation(t);
+        const ExpectedObservation mu =
+            dep.model.expected_observation(claimed, dep.gz);
         const TaintResult taint = greedy_taint(
-            a, mu, dcfg.nodes_per_group, metric, spec.attacks.front(),
+            a, mu, dep.dcfg.nodes_per_group, dep.metric, spec.attacks.front(),
             static_cast<int>(x * a.total()));
-        if (detector.check(taint.tainted, claimed).anomaly) ++lad_detected;
+        if (dep.detector.check(taint.tainted, claimed).anomaly) {
+          ++lad_detected;
+        }
       }
       sink.row(1)
           .add(d, 0)
@@ -999,20 +1133,17 @@ ScenarioResult ScenarioRunner::Impl::run_echo(const ShardRange& shard) {
   return result;
 }
 
-ScenarioResult ScenarioRunner::Impl::run_fusion(const ShardRange& shard) {
+ScenarioResult ScenarioRunState::run_fusion(const ShardRange& shard) {
   std::vector<std::string> cols = {"attacker_targets"};
   for (MetricKind k : spec.metrics) {
     cols.push_back(std::string("DR_") + metric_name(k));
   }
   cols.push_back("DR_fusion");
 
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back({"benign", Table({"fused_FP", "tau"}), {}});
-  result.tables.push_back({"fusion", Table(cols), {}});
-  if (shard_is_empty(shard, spec)) return result;
+  ScenarioResult result = new_result({{"fused_FP", "tau"}, cols});
+  if (shard_is_empty(shard)) return result;
 
-  Pipeline& pipeline = pipeline_for(group_config(
-      spec.shapes.front(), spec.actual_sigmas.front(), spec.jitters.front()));
+  Pipeline& pipeline = base_pipeline();
   const auto& benign_scores =
       benign_for(pipeline, spec.localizers.front()).scores;
 
@@ -1081,12 +1212,8 @@ ScenarioResult ScenarioRunner::Impl::run_fusion(const ShardRange& shard) {
     if (!shard.contains(item)) continue;
     sched.add(item, [this, target, d, x, &pipeline,
                      &thresholds](ItemSink& sink) {
-      AttackSpec attack;
-      attack.metric = target;
-      attack.attack_class = spec.attacks.front();
-      attack.damage = d;
-      attack.compromised_frac = x;
-      const auto cross = pipeline.attack_scores_cross(attack, spec.metrics);
+      const auto cross = pipeline.attack_scores_cross(
+          {target, spec.attacks.front(), d, x}, spec.metrics);
 
       Table& row = sink.row(1).add(metric_name(target));
       std::vector<char> fused_hit(cross.begin()->second.size(), 0);
@@ -1108,11 +1235,9 @@ ScenarioResult ScenarioRunner::Impl::run_fusion(const ShardRange& shard) {
   return result;
 }
 
-ScenarioResult ScenarioRunner::Impl::run_mmse(const ShardRange& shard) {
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back(
-      {"mmse", Table({"lie_m", "mmse_mean_err", "mmse_max_err"}), {}});
-  result.tables.push_back({"dvhop", Table({"lie_m", "dvhop_mean_err"}), {}});
+ScenarioResult ScenarioRunState::run_mmse(const ShardRange& shard) {
+  ScenarioResult result = new_result(
+      {{"lie_m", "mmse_mean_err", "mmse_max_err"}, {"lie_m", "dvhop_mean_err"}});
 
   const std::uint64_t seed = spec.pipeline.seed;
 
@@ -1174,7 +1299,7 @@ ScenarioResult ScenarioRunner::Impl::run_mmse(const ShardRange& shard) {
   return result;
 }
 
-ScenarioResult ScenarioRunner::Impl::run_threshold(const ShardRange& shard) {
+ScenarioResult ScenarioRunState::run_threshold(const ShardRange& shard) {
   std::vector<std::string> cols = {"threshold", "FP"};
   for (double d : spec.damages) cols.push_back(dr_at_damage_label(d));
   std::vector<std::string> tau_cols = {"tau"};
@@ -1182,24 +1307,18 @@ ScenarioResult ScenarioRunner::Impl::run_threshold(const ShardRange& shard) {
   std::vector<std::string> fudge_cols = {"fudge"};
   fudge_cols.insert(fudge_cols.end(), cols.begin(), cols.end());
 
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back({"tau", Table(tau_cols), {}});
-  result.tables.push_back({"fudge", Table(fudge_cols), {}});
-  if (shard_is_empty(shard, spec)) return result;
+  ScenarioResult result = new_result({tau_cols, fudge_cols});
+  if (shard_is_empty(shard)) return result;
 
-  Pipeline& pipeline = pipeline_for(group_config(
-      spec.shapes.front(), spec.actual_sigmas.front(), spec.jitters.front()));
+  Pipeline& pipeline = base_pipeline();
   const MetricKind metric = spec.metrics.front();
   const std::vector<double>& benign_scores =
       benign_for(pipeline, spec.localizers.front()).scores.at(metric);
 
   auto attack_for = [&](double d) -> const std::vector<double>& {
-    AttackSpec attack;
-    attack.metric = metric;
-    attack.attack_class = spec.attacks.front();
-    attack.damage = d;
-    attack.compromised_frac = spec.compromised.front();
-    return attack_scores_cached(pipeline, attack);
+    return attack_scores_cached(
+        pipeline,
+        {metric, spec.attacks.front(), d, spec.compromised.front()});
   };
   auto emit = [&](Table& row, double threshold) {
     row.add(threshold, 2).add(fraction_above(benign_scores, threshold), 4);
@@ -1233,52 +1352,23 @@ ScenarioResult ScenarioRunner::Impl::run_threshold(const ShardRange& shard) {
   return result;
 }
 
-ScenarioResult ScenarioRunner::Impl::run_evolve(const ShardRange& shard) {
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back(
-      {"meta", Table({"lad_threshold", "rounds", "trials"}), {}});
-  result.tables.push_back(
-      {"evolve", Table({"attack", "D", "round", "corrupted", "DR"}), {}});
-  if (shard_is_empty(shard, spec)) return result;
+ScenarioResult ScenarioRunState::run_evolve(const ShardRange& shard) {
+  ScenarioResult result =
+      new_result({{"lad_threshold", "rounds", "trials"},
+                  {"attack", "D", "round", "corrupted", "DR"}});
+  if (shard_is_empty(shard)) return result;
 
-  const DeploymentConfig& dcfg = spec.pipeline.deploy;
   const std::uint64_t seed = spec.pipeline.seed;
-  const MetricKind metric = spec.metrics.front();
-
-  const DeploymentModel model(dcfg);
-  const GzTable gz({dcfg.radio_range, dcfg.sigma});
-  // lad-lint: allow(rng-construct) -- historical root stream for this
-  // work item; re-keying would change every golden CSV.
-  Rng rng(seed);
-  const Network net(model, rng);
-  const BeaconlessMleLocalizer localizer(model, gz);
-
-  // Train LAD on benign samples (continues the shared rng, like run_echo);
-  // the threshold stays fixed across rounds - only the attacker evolves.
-  const std::unique_ptr<Metric> scorer = make_metric(metric);
-  std::vector<double> benign_scores;
-  std::vector<std::size_t> train_nodes(
-      static_cast<std::size_t>(spec.evolve_train_samples));
-  for (std::size_t i = 0; i < train_nodes.size(); ++i) {
-    train_nodes[i] = static_cast<std::size_t>(rng.uniform_int(net.num_nodes()));
-  }
-  ObservationBatch train_batch;
-  net.observe_many(train_nodes, train_batch);
-  for (std::size_t i = 0; i < train_nodes.size(); ++i) {
-    const Observation obs = train_batch.to_observation(i);
-    benign_scores.push_back(
-        scorer->score(obs,
-                      model.expected_observation(localizer.estimate(obs), gz),
-                      dcfg.nodes_per_group));
-  }
-  const double threshold =
-      train_threshold(metric, benign_scores, spec.tau).threshold;
-  const Detector detector(model, gz, metric, threshold);
+  // The threshold stays fixed across rounds - only the attacker evolves.
+  const TrainedDeployment dep(spec);
 
   ItemScheduler sched(result, spec.jobs);
   if (shard.contains(0)) {
-    sched.add(0, [this, threshold](ItemSink& sink) {
-      sink.row(0).add(threshold, 2).add(spec.evolve_rounds).add(spec.trials);
+    sched.add(0, [this, &dep](ItemSink& sink) {
+      sink.row(0)
+          .add(dep.threshold, 2)
+          .add(spec.evolve_rounds)
+          .add(spec.trials);
     });
   }
 
@@ -1287,31 +1377,16 @@ ScenarioResult ScenarioRunner::Impl::run_evolve(const ShardRange& shard) {
     for (double d : spec.damages) {
       ++item;
       if (!shard.contains(item)) continue;
-      sched.add(item, [this, item, cls, d, seed, metric, &net, &model, &gz,
-                       &detector, &dcfg](ItemSink& sink) {
+      sched.add(item, [this, item, cls, d, seed, &dep](ItemSink& sink) {
         // Keyed by item id (see run_correction): (attack, damage) cells
         // never share a stream with each other or with training.
         Rng trial_rng = Rng::stream(seed, static_cast<std::uint64_t>(item));
-        // Victim + claimed-location draws first (one rng call order no
-        // matter how rounds interleave), then one observation batch.
-        std::vector<std::size_t> nodes(static_cast<std::size_t>(spec.trials));
-        std::vector<Vec2> claims(nodes.size());
-        for (std::size_t t = 0; t < nodes.size(); ++t) {
-          std::size_t node;
-          do {
-            node = static_cast<std::size_t>(
-                trial_rng.uniform_int(net.num_nodes()));
-          } while (!dcfg.field().contains(net.position(node)));
-          nodes[t] = node;
-          claims[t] = displaced_location(net.position(node), d, dcfg.field(),
-                                         trial_rng);
-        }
-        ObservationBatch batch;
-        net.observe_many(nodes, batch);
+        const Deployed::Trials draw =
+            dep.draw_trials(trial_rng, spec.trials, d);
         std::vector<ExpectedObservation> mus;
-        mus.reserve(claims.size());
-        for (const Vec2& claim : claims) {
-          mus.push_back(model.expected_observation(claim, gz));
+        mus.reserve(draw.claims.size());
+        for (const Vec2& claim : draw.claims) {
+          mus.push_back(dep.model.expected_observation(claim, dep.gz));
         }
         // Round r: the same victims re-assert the same claim, but the
         // attacker has corrupted `initial + r * step` beacons by now (the
@@ -1320,11 +1395,13 @@ ScenarioResult ScenarioRunner::Impl::run_evolve(const ShardRange& shard) {
         for (int round = 0; round < spec.evolve_rounds; ++round) {
           const int corrupted = spec.evolve_initial + round * spec.evolve_step;
           int detected = 0;
-          for (std::size_t t = 0; t < nodes.size(); ++t) {
-            const TaintResult taint =
-                greedy_taint(batch.to_observation(t), mus[t],
-                             dcfg.nodes_per_group, metric, cls, corrupted);
-            if (detector.check(taint.tainted, claims[t]).anomaly) ++detected;
+          for (std::size_t t = 0; t < draw.nodes.size(); ++t) {
+            const TaintResult taint = greedy_taint(
+                draw.batch.to_observation(t), mus[t],
+                dep.dcfg.nodes_per_group, dep.metric, cls, corrupted);
+            if (dep.detector.check(taint.tainted, draw.claims[t]).anomaly) {
+              ++detected;
+            }
           }
           sink.row(1)
               .add(attack_class_name(cls))
@@ -1340,52 +1417,16 @@ ScenarioResult ScenarioRunner::Impl::run_evolve(const ShardRange& shard) {
   return result;
 }
 
-ScenarioResult ScenarioRunner::Impl::run_coop(const ShardRange& shard) {
-  ScenarioResult result{spec.name, {}};
-  result.tables.push_back(
-      {"fp",
-       Table({"solo_FP", "node_FP", "coop_FP", "mean_voters"}),
-       {}});
-  result.tables.push_back(
-      {"coop",
-       Table({"D", "solo_DR", "node_DR", "coop_DR", "mean_voters"}),
-       {}});
-  if (shard_is_empty(shard, spec)) return result;
+ScenarioResult ScenarioRunState::run_coop(const ShardRange& shard) {
+  ScenarioResult result =
+      new_result({{"solo_FP", "node_FP", "coop_FP", "mean_voters"},
+                  {"D", "solo_DR", "node_DR", "coop_DR", "mean_voters"}});
+  if (shard_is_empty(shard)) return result;
 
-  const DeploymentConfig& dcfg = spec.pipeline.deploy;
   const std::uint64_t seed = spec.pipeline.seed;
-  const MetricKind metric = spec.metrics.front();
   const AttackClass cls = spec.attacks.front();
   const double x = spec.compromised.front();
-
-  const DeploymentModel model(dcfg);
-  const GzTable gz({dcfg.radio_range, dcfg.sigma});
-  // lad-lint: allow(rng-construct) -- historical root stream for this
-  // work item; re-keying would change every golden CSV.
-  Rng rng(seed);
-  const Network net(model, rng);
-  const BeaconlessMleLocalizer localizer(model, gz);
-
-  // Train the solo LAD detector (continues the shared rng, like run_echo).
-  const std::unique_ptr<Metric> scorer = make_metric(metric);
-  std::vector<double> benign_scores;
-  std::vector<std::size_t> train_nodes(
-      static_cast<std::size_t>(spec.coop_train_samples));
-  for (std::size_t i = 0; i < train_nodes.size(); ++i) {
-    train_nodes[i] = static_cast<std::size_t>(rng.uniform_int(net.num_nodes()));
-  }
-  ObservationBatch train_batch;
-  net.observe_many(train_nodes, train_batch);
-  for (std::size_t i = 0; i < train_nodes.size(); ++i) {
-    const Observation obs = train_batch.to_observation(i);
-    benign_scores.push_back(
-        scorer->score(obs,
-                      model.expected_observation(localizer.estimate(obs), gz),
-                      dcfg.nodes_per_group));
-  }
-  const double threshold =
-      train_threshold(metric, benign_scores, spec.tau).threshold;
-  const Detector detector(model, gz, metric, threshold);
+  const TrainedDeployment dep(spec);
 
   // One trial batch shared by the benign and every attack item: draw the
   // victims, observe, then vote.  `d < 0` means benign (claim = truth,
@@ -1398,49 +1439,36 @@ ScenarioResult ScenarioRunner::Impl::run_coop(const ShardRange& shard) {
   // evidence and abstains.  An honest claim makes the two disks coincide,
   // so the vote-level FP rate is exactly zero by construction, while a
   // displaced claim leaves both disks' occupants testifying against it.
-  const auto run_trials = [this, seed, metric, cls, x, &net, &model, &gz,
-                           &detector,
-                           &dcfg](long long item, double d, Table& row) {
+  const auto run_trials = [this, seed, cls, x, &dep](long long item, double d,
+                                                    Table& row) {
     Rng trial_rng = Rng::stream(seed, static_cast<std::uint64_t>(item));
-    std::vector<std::size_t> nodes(static_cast<std::size_t>(spec.trials));
-    std::vector<Vec2> claims(nodes.size());
-    for (std::size_t t = 0; t < nodes.size(); ++t) {
-      std::size_t node;
-      do {
-        node =
-            static_cast<std::size_t>(trial_rng.uniform_int(net.num_nodes()));
-      } while (!dcfg.field().contains(net.position(node)));
-      nodes[t] = node;
-      claims[t] = d < 0 ? net.position(node)
-                        : displaced_location(net.position(node), d,
-                                             dcfg.field(), trial_rng);
-    }
-    ObservationBatch batch;
-    net.observe_many(nodes, batch);
+    const Deployed::Trials draw = dep.draw_trials(trial_rng, spec.trials, d);
+    const Network& net = dep.net;
 
     int solo = 0, coop = 0;
     long long votes = 0, anomalous_votes = 0, voters_total = 0;
-    for (std::size_t t = 0; t < nodes.size(); ++t) {
-      const Observation a = batch.to_observation(t);
+    for (std::size_t t = 0; t < draw.nodes.size(); ++t) {
+      const std::size_t node = draw.nodes[t];
+      const Vec2 claim = draw.claims[t];
+      const Observation a = draw.batch.to_observation(t);
       if (d < 0) {
-        if (detector.check(a, claims[t]).anomaly) ++solo;
+        if (dep.detector.check(a, claim).anomaly) ++solo;
       } else {
         const ExpectedObservation mu =
-            model.expected_observation(claims[t], gz);
+            dep.model.expected_observation(claim, dep.gz);
         const TaintResult taint =
-            greedy_taint(a, mu, dcfg.nodes_per_group, metric, cls,
+            greedy_taint(a, mu, dep.dcfg.nodes_per_group, dep.metric, cls,
                          static_cast<int>(x * a.total()));
-        if (detector.check(taint.tainted, claims[t]).anomaly) ++solo;
+        if (dep.detector.check(taint.tainted, claim).anomaly) ++solo;
       }
       const std::vector<std::size_t> nearby =
-          net.nodes_within(claims[t], spec.coop_radius, nodes[t]);
+          net.nodes_within(claim, spec.coop_radius, node);
       long long standing = 0, bad = 0;
       for (std::size_t v : nearby) {
-        const double range = net.tx_range(nodes[t]);
-        const bool expected =
-            distance(net.position(v), claims[t]) <= range;
+        const double range = net.tx_range(node);
+        const bool expected = distance(net.position(v), claim) <= range;
         const bool actual =
-            distance(net.position(v), net.position(nodes[t])) <= range;
+            distance(net.position(v), net.position(node)) <= range;
         if (!expected && !actual) continue;  // no evidence either way
         ++standing;
         if (expected != actual) ++bad;

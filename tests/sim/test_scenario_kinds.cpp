@@ -63,7 +63,7 @@ TEST(ScenarioSpecKinds, EvolveSectionParsesWithDefaults) {
   EXPECT_EQ(defaults.evolve_rounds, 8);
   EXPECT_EQ(defaults.evolve_step, 2);
   EXPECT_EQ(defaults.evolve_initial, 0);
-  EXPECT_EQ(defaults.evolve_train_samples, 400);
+  EXPECT_EQ(defaults.train_samples, 400);
 
   const ScenarioSpec spec = parse(evolve_spec(
       "[evolve]\ntrials = 9\nrounds = 3\nstep = 5\ninitial = 2\n"
@@ -72,7 +72,7 @@ TEST(ScenarioSpecKinds, EvolveSectionParsesWithDefaults) {
   EXPECT_EQ(spec.evolve_rounds, 3);
   EXPECT_EQ(spec.evolve_step, 5);
   EXPECT_EQ(spec.evolve_initial, 2);
-  EXPECT_EQ(spec.evolve_train_samples, 50);
+  EXPECT_EQ(spec.train_samples, 50);
 }
 
 TEST(ScenarioSpecKinds, CoopSectionParsesWithDefaults) {
@@ -80,7 +80,7 @@ TEST(ScenarioSpecKinds, CoopSectionParsesWithDefaults) {
   EXPECT_EQ(defaults.kind, ExperimentKind::kInNetwork);
   EXPECT_EQ(defaults.coop_radius, 150.0);
   EXPECT_EQ(defaults.coop_majority, 0.5);
-  EXPECT_EQ(defaults.coop_train_samples, 400);
+  EXPECT_EQ(defaults.train_samples, 400);
 
   const ScenarioSpec spec = parse(coop_spec(
       "[coop]\ntrials = 7\nradius = 99\nmajority = 0.75\n"
@@ -88,7 +88,7 @@ TEST(ScenarioSpecKinds, CoopSectionParsesWithDefaults) {
   EXPECT_EQ(spec.trials, 7);
   EXPECT_EQ(spec.coop_radius, 99.0);
   EXPECT_EQ(spec.coop_majority, 0.75);
-  EXPECT_EQ(spec.coop_train_samples, 60);
+  EXPECT_EQ(spec.train_samples, 60);
 }
 
 TEST(ScenarioSpecKinds, BadEvolveValuesAreRejectedByName) {

@@ -83,7 +83,9 @@ void add_result(BenchReport& report, const std::string& name,
 }  // namespace
 }  // namespace lad::bench
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace lad;
   using namespace lad::bench;
 
@@ -107,6 +109,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown flag --%s\n", leftovers.front().c_str());
     return 2;
   }
+  // Before any timing: an unusable --out must not cost a whole run.
+  prepare_bench_out_dir(out_dir);
 
   const int threads = threads_flag > 0 ? threads_flag : default_parallelism();
   BenchReport report;
@@ -203,4 +207,15 @@ int main(int argc, char** argv) {
   const std::string path = write_bench_json(report, out_dir);
   std::printf("wrote %s\n", path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const lad::AssertionError& e) {
+    std::fprintf(stderr, "scale_observe: %s\n", e.what());
+    return 2;
+  }
 }

@@ -26,6 +26,7 @@
 #include "deploy/deployment_model.h"
 #include "sim/pipeline.h"
 #include "sim/scenario.h"
+#include "util/assert.h"
 #include "util/bench_json.h"
 #include "util/flags.h"
 
@@ -86,7 +87,9 @@ ScenarioSpec fig07_shaped_spec(const PipelineConfig& pipeline, bool quick) {
 }  // namespace
 }  // namespace lad::bench
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace lad;
   using namespace lad::bench;
 
@@ -111,6 +114,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown flag --%s\n", leftovers.front().c_str());
     return 2;
   }
+  // Before any timing: an unusable --out must not cost a whole run.
+  prepare_bench_out_dir(out_dir);
 
   PipelineConfig cfg;
   cfg.networks = networks;
@@ -173,4 +178,15 @@ int main(int argc, char** argv) {
   const std::string path = write_bench_json(report, out_dir);
   std::printf("wrote %s\n", path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const lad::AssertionError& e) {
+    std::fprintf(stderr, "scale_pipeline: %s\n", e.what());
+    return 2;
+  }
 }

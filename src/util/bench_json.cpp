@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -373,6 +374,14 @@ std::string bench_json(const BenchReport& report) {
   os << (report.results.empty() ? "]\n" : "\n  ]\n");
   os << "}\n";
   return os.str();
+}
+
+void prepare_bench_out_dir(const std::string& dir) {
+  if (dir.empty()) return;
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  LAD_REQUIRE_MSG(!ec, "cannot create output directory '" << dir << "': "
+                                                          << ec.message());
 }
 
 std::string write_bench_json(const BenchReport& report,

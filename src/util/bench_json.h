@@ -54,6 +54,11 @@ void fill_bench_environment(BenchReport& report);
 /// Serializes the report as a lad-bench-1 JSON document.
 std::string bench_json(const BenchReport& report);
 
+/// Creates the output directory `dir` ("" = cwd) if missing, so a bad
+/// --out fails before a bench spends any time measuring.  Throws
+/// lad::AssertionError naming the directory when it cannot be created.
+void prepare_bench_out_dir(const std::string& dir);
+
 /// Writes bench_json(report) to <dir>/BENCH_<name>.json ("" = cwd) and
 /// returns the path written.  Throws lad::AssertionError on I/O failure
 /// or an empty report name.

@@ -2,11 +2,13 @@
 # Smoke test for the machine-readable bench surface: scale_observe --quick
 # must emit a BENCH_*.json that tools/bench_json_check accepts, with the
 # rows the bench promises.  This is the CI gate that keeps every bench's
-# JSON output conforming to the lad-bench-1 schema.
+# JSON output conforming to the lad-bench-1 schema.  Both JSON benches
+# must also reject an unusable --out by name before measuring anything.
 set -u
 
 bench="$1"
 checker="$2"
+pipeline="$3"
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
 
@@ -38,5 +40,19 @@ head -c 40 "$json" >"$workdir/truncated.json"
 if "$checker" "$workdir/truncated.json" >/dev/null 2>&1; then
   fail "bench_json_check accepted a truncated document"
 fi
+
+# An --out that cannot be created (a path under a regular file) must fail
+# with a named error and exit 2 before any timing: nothing on stdout.
+blocker="$workdir/not_a_dir"
+: >"$blocker"
+for b in "$bench" "$pipeline"; do
+  name="$(basename "$b")"
+  out="$("$b" --quick --out "$blocker/sub" 2>"$workdir/err.txt")"
+  rc=$?
+  [ "$rc" = 2 ] || fail "$name with an unusable --out exited $rc, want 2"
+  [ -z "$out" ] || fail "$name ran before rejecting --out: $out"
+  grep -q "cannot create output directory" "$workdir/err.txt" \
+    || fail "$name: unnamed --out error: $(cat "$workdir/err.txt")"
+done
 
 echo "bench_json_smoke OK"

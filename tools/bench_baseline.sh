@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Fixed-seed wall-time baseline runner (the ROADMAP "perf baseline" item).
 #
-# Builds the bench binaries, runs every figure/table scenario in quick
-# mode under the default fixed seed, prints a markdown table of
+# Builds lad_cli, runs every figure/table scenario spec in quick mode
+# (`lad_cli run --scenario bench/scenarios/<spec>.scn --quick --csv`)
+# under the default fixed seed, prints a markdown table of
 # wall-times to paste into bench/BASELINE.md, and writes the same rows
 # as machine-readable lad-bench-1 JSON (BENCH_baseline.json, the schema
 # that tools/bench_json_check validates).  Scenario output itself is
 # deterministic (same seed => byte-identical CSV), so regressions show
 # up as time deltas, never value deltas.
 #
-# Each bench is timed twice: pinned to LAD_THREADS=1 (comparable across
+# Each spec is timed twice: pinned to LAD_THREADS=1 (comparable across
 # hosts) and at a multithread count (default 4; export LAD_BASELINE_MT
 # to change it), so the table shows what the shared-pool fan-out buys
 # on the measuring host.  Export LAD_THREADS to change the pinned leg.
@@ -25,12 +26,14 @@ build="${1:-build}"
 out_dir="${2:-.}"
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 
-# Pin the thread count so wall-times are comparable run-over-run; the
-# benches honor LAD_THREADS through lad::default_parallelism().
+# Pin the thread count so wall-times are comparable run-over-run; lad_cli
+# honors LAD_THREADS through lad::default_parallelism().
 pinned="${LAD_THREADS:-1}"
 mt="${LAD_BASELINE_MT:-4}"
 
-cmake --build "$build" --target benches -j >/dev/null
+cmake --build "$build" --target lad_cli -j >/dev/null
+cli="$build/tools/lad_cli"
+[ -x "$cli" ] || { echo "missing binary $cli" >&2; exit 1; }
 
 # Nanosecond timestamps need GNU date; BSD/busybox date prints a literal
 # 'N' for %N.  Detect once and fall back to second resolution.
@@ -48,8 +51,8 @@ host="$(uname -sr) / ${cores} core(s)"
 git_rev="$(git -C "$repo" rev-parse --short HEAD 2>/dev/null || echo unknown)"
 utc_date="$(date -u +%Y-%m-%d)"
 
-# Every figure/table bench is a thin wrapper over a checked-in spec, so
-# the spec directory is the authoritative bench list.
+# The spec directory is the authoritative bench list; each row keeps the
+# spec's file name.
 benches=$(cd "$repo/bench/scenarios" && ls *.scn | sed 's/\.scn$//' \
   | grep -v '^quickstart$')
 [ -n "$benches" ] || { echo "no specs found in bench/scenarios" >&2; exit 1; }
@@ -66,10 +69,15 @@ json="$out_dir/BENCH_baseline.json"
   printf '  "results": [\n'
 } >"$json"
 
-# time_bench <binary> <threads> -> elapsed ns on stdout
+# time_bench <spec name> <threads> -> elapsed ns on stdout; lad_cli's
+# progress lines are kept out of the table and shown only on failure.
 time_bench() {
   start=$(now_ns)
-  LAD_THREADS="$2" "$1" --quick --csv >/dev/null
+  if ! LAD_THREADS="$2" "$cli" run --scenario "$repo/bench/scenarios/$1.scn" \
+    --quick --csv >/dev/null 2>"$out_dir/.bench_baseline.err"; then
+    cat "$out_dir/.bench_baseline.err" >&2
+    exit 1
+  fi
   end=$(now_ns)
   echo $((end - start))
 }
@@ -78,10 +86,8 @@ echo "| bench (quick mode, default seed) | LAD_THREADS=$pinned (s) | LAD_THREADS
 echo "|---|---|---|"
 first=1
 for b in $benches; do
-  bin="$build/bench/$b"
-  [ -x "$bin" ] || { echo "missing binary $bin" >&2; exit 1; }
-  ns=$(time_bench "$bin" "$pinned")
-  ns_mt=$(time_bench "$bin" "$mt")
+  ns=$(time_bench "$b" "$pinned")
+  ns_mt=$(time_bench "$b" "$mt")
   printf "| %s | %s | %s |\n" "$b" \
     "$(awk "BEGIN {printf \"%.2f\", $ns / 1e9}")" \
     "$(awk "BEGIN {printf \"%.2f\", $ns_mt / 1e9}")"
@@ -93,6 +99,7 @@ for b in $benches; do
     "$b" "$mt" "$ns_mt" >>"$json"
 done
 printf '\n  ]\n}\n' >>"$json"
+rm -f "$out_dir/.bench_baseline.err"
 
 echo
 echo "_Measured on: $host, $utc_date (pinned LAD_THREADS=$pinned vs $mt)._"

@@ -6,7 +6,8 @@
 //             and axis the experiment kinds accept (comma lists and
 //             lo:hi:step ranges, [run] jobs, [detector] blocks, the
 //             kind-specific sections) and require the parser AND the
-//             runner's item accounting to accept it.
+//             runner's item accounting to accept it.  What each kind
+//             accepts comes from its row in sim/kind_table.h.
 //  - invalid: take a valid spec, inject ONE invalid edit from a named
 //             mutation class (unknown key, duplicate section/key,
 //             malformed range, kind-foreign section, ...) and require a

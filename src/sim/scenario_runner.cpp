@@ -817,14 +817,18 @@ ScenarioResult ScenarioRunState::run_dr(const ShardRange& shard) {
                     if (many_metrics) row.add(metric_name(metric));
                     if (many_attacks) row.add(attack_class_name(cls));
                     row.add(x, 2).add(d, 0);
+                    const auto dr = [&](const auto& keep) {
+                      return rate_where(scores, attack_groups, thresholds,
+                                        keep);
+                    };
+                    const auto fp = [&](const auto& keep) {
+                      return rate_where(benign_scores,
+                                        benign_pass.victim_groups, thresholds,
+                                        keep);
+                    };
                     const auto all = [](int) { return true; };
                     if (mode == GroupThresholdMode::kPerGroup) {
-                      row.add(rate_where(scores, attack_groups, thresholds,
-                                         all),
-                              4)
-                          .add(rate_where(benign_scores, benign_pass.victim_groups,
-                                          thresholds, all),
-                               4);
+                      row.add(dr(all), 4).add(fp(all), 4);
                     } else {
                       row.add(fraction_above(scores, fit.threshold()), 4)
                           .add(fit.realized_fp, 4);
@@ -837,18 +841,10 @@ ScenarioResult ScenarioRunState::run_dr(const ShardRange& shard) {
                       const auto boundary = [&](int g) {
                         return is_boundary[static_cast<std::size_t>(g)] != 0;
                       };
-                      row.add(rate_where(scores, attack_groups, thresholds,
-                                         interior),
-                              4)
-                          .add(rate_where(scores, attack_groups, thresholds,
-                                          boundary),
-                               4)
-                          .add(rate_where(benign_scores, benign_pass.victim_groups,
-                                          thresholds, interior),
-                               4)
-                          .add(rate_where(benign_scores, benign_pass.victim_groups,
-                                          thresholds, boundary),
-                               4);
+                      row.add(dr(interior), 4)
+                          .add(dr(boundary), 4)
+                          .add(fp(interior), 4)
+                          .add(fp(boundary), 4);
                     }
                     if (spec.loc_error) {
                       row.add(loc_error_for(pipeline, localizer), 2);

@@ -31,6 +31,15 @@ std::string minimal_spec(const KindSpec& kind, const std::string& extra) {
   return text + extra;
 }
 
+/// "[name]\n", built by appends (GCC 12 misreports "[" + s + "]" under
+/// -Wrestrict).
+std::string header(const char* name) {
+  std::string line = "[";
+  line += name;
+  line += "]\n";
+  return line;
+}
+
 ScenarioSpec parse(const std::string& text) {
   return ScenarioSpec::from_config(KvConfig::parse_string(text));
 }
@@ -64,12 +73,12 @@ TEST(KindTable, OwnSectionIsAcceptedAndEveryOtherRejected) {
     SCOPED_TRACE(row.name);
     if (*row.section != '\0') {
       EXPECT_NO_THROW(
-          parse(minimal_spec(row, "[" + std::string(row.section) + "]\n")));
+          parse(minimal_spec(row, header(row.section))));
     }
     for (const KindSpec& other : kind_table()) {
       if (&other == &row || *other.section == '\0') continue;
       try {
-        parse(minimal_spec(row, "[" + std::string(other.section) + "]\n"));
+        parse(minimal_spec(row, header(other.section)));
         ADD_FAILURE() << "[" << other.section << "] accepted";
       } catch (const AssertionError& e) {
         EXPECT_NE(std::string(e.what()).find(
@@ -94,7 +103,7 @@ TEST(KindTable, SectionKeyDomainsAreAccepted) {
                                  format_double(v, key.decimals) + "\n";
         SCOPED_TRACE(std::string(row.name) + ": " + line);
         EXPECT_NO_THROW(check_scn_accepted(minimal_spec(
-            row, "[" + std::string(row.section) + "]\n" + line)));
+            row, header(row.section) + line)));
       }
     }
   }

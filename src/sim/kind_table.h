@@ -16,7 +16,7 @@
 
 namespace lad {
 
-/// Bits of KindSpec::accepts: the [sweep] axes a kind expands (and so may
+/// Bits of KindSpec::accepted: the [sweep] axes a kind expands (and so may
 /// carry more than one value), then the kind-only keys it consumes.
 enum KindAccepts : unsigned {
   kMultiShapes = 1u << 0,
@@ -27,10 +27,10 @@ enum KindAccepts : unsigned {
   kMultiAttacks = 1u << 5,
   kMultiDamages = 1u << 6,
   kMultiCompromised = 1u << 7,
-  kKeyDensities = 1u << 8,         ///< [sweep] densities (then required)
-  kKeyGroupThresholds = 1u << 9,   ///< [sweep] group_thresholds
-  kKeyGroupMinSamples = 1u << 10,  ///< [detector] group_min_samples
-  kKeyBundle = 1u << 11,           ///< [detector] bundle
+  kKeyDensities = 1u << 8,  ///< [sweep] densities (then required)
+  /// [sweep] group_thresholds and [detector] group_min_samples
+  kKeyGroupThresholds = 1u << 9,
+  kKeyBundle = 1u << 10,  ///< [detector] bundle
 };
 
 /// One key of a kind's own section with the range of valid values the
@@ -48,7 +48,7 @@ struct KindSpec {
   ExperimentKind kind;
   const char* name;     ///< the `[scenario] experiment =` value
   const char* section;  ///< the kind's own section, "" = none
-  unsigned accepts;     ///< KindAccepts bits
+  unsigned accepted;    ///< KindAccepts bits
   /// Reads the own section into `spec` (nullptr when there is none).
   void (*parse_section)(const KvConfig::Section& section, ScenarioSpec& spec);
   std::vector<SectionKey> section_keys;
@@ -57,6 +57,8 @@ struct KindSpec {
   /// Result-table ids in emission order.
   std::vector<std::string> (*table_ids)(const ScenarioSpec& spec);
   ScenarioResult (ScenarioRunState::*run)(const ShardRange& shard);
+
+  bool accepts(KindAccepts bit) const { return (accepted & bit) != 0; }
 };
 
 /// Every row, in ExperimentKind order.

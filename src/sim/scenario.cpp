@@ -37,9 +37,9 @@ const std::vector<std::string>& common_sections() {
 }
 
 /// The name of the (first) kind whose row accepts the kind-only key `bit`.
-const char* kind_accepting(unsigned bit) {
+const char* kind_accepting(KindAccepts bit) {
   for (const KindSpec& row : kind_table()) {
-    if ((row.accepts & bit) != 0) return row.name;
+    if (row.accepts(bit)) return row.name;
   }
   return "?";
 }
@@ -266,7 +266,7 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
     if (s->has("group_thresholds")) {
       // Outside its kind even a single value would be dead configuration
       // (fail-fast contract).
-      LAD_REQUIRE_MSG((kind.accepts & kKeyGroupThresholds) != 0,
+      LAD_REQUIRE_MSG(kind.accepts(kKeyGroupThresholds),
                       "[sweep] group_thresholds is only swept by "
                           << kind_accepting(kKeyGroupThresholds)
                           << " (this is " << kind.name << ")");
@@ -279,7 +279,7 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
                       "sweep list 'group_thresholds' is empty");
     }
   }
-  if ((kind.accepts & kKeyDensities) != 0) {
+  if (kind.accepts(kKeyDensities)) {
     LAD_REQUIRE_MSG(!spec.densities.empty(),
                     kind.name << " needs a non-empty [sweep] densities list");
   } else {
@@ -291,9 +291,9 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
 
   // Reject multi-valued axes the kind does not expand: the runner would
   // silently use only the first value, which breaks the fail-fast contract.
-  const auto single_unless = [&](unsigned bit, std::size_t n,
+  const auto single_unless = [&](KindAccepts bit, std::size_t n,
                                  const char* axis) {
-    LAD_REQUIRE_MSG((kind.accepts & bit) != 0 || n <= 1,
+    LAD_REQUIRE_MSG(kind.accepts(bit) || n <= 1,
                     "experiment '" << kind.name
                                    << "' does not sweep [sweep] " << axis
                                    << " (got " << n
@@ -313,9 +313,9 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
     spec.fp_budget = d->get_double("fp_budget", spec.fp_budget);
     spec.tau = d->get_double("tau", spec.tau);
     if (d->has("group_min_samples")) {
-      LAD_REQUIRE_MSG((kind.accepts & kKeyGroupMinSamples) != 0,
+      LAD_REQUIRE_MSG(kind.accepts(kKeyGroupThresholds),
                       "[detector] group_min_samples is only consumed by "
-                          << kind_accepting(kKeyGroupMinSamples)
+                          << kind_accepting(kKeyGroupThresholds)
                           << " (this is " << kind.name << ")");
       spec.group_min_samples = get_positive_int(*d, "group_min_samples",
                                                 spec.group_min_samples);
@@ -323,7 +323,7 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
     spec.bundle = d->get_string("bundle", "");
     // Anywhere but its kind a saved bundle would be dead configuration
     // (fail-fast contract).
-    LAD_REQUIRE_MSG(spec.bundle.empty() || (kind.accepts & kKeyBundle) != 0,
+    LAD_REQUIRE_MSG(spec.bundle.empty() || kind.accepts(kKeyBundle),
                     "[detector] bundle is only consumed by "
                         << kind_accepting(kKeyBundle) << " (this is "
                         << kind.name << ")");

@@ -107,10 +107,6 @@ class ScnWriter {
   std::string text_;
 };
 
-bool accepts(const KindSpec& kind, unsigned bit) {
-  return (kind.accepts & bit) != 0;
-}
-
 int axis_n(Rng& rng, bool multi) { return multi ? draw_int(rng, 1, 4) : 1; }
 
 void emit_sweep(ScnWriter& w, Rng& rng, const KindSpec& kind) {
@@ -118,53 +114,53 @@ void emit_sweep(ScnWriter& w, Rng& rng, const KindSpec& kind) {
   bool any = false;
   if (chance(rng, 0.7)) {
     std::vector<std::string> ms = {"diff", "add-all", "prob"};
-    const int n = std::min(axis_n(rng, accepts(kind, kMultiMetrics)), 3);
+    const int n = std::min(axis_n(rng, kind.accepts(kMultiMetrics)), 3);
     ms.resize(static_cast<std::size_t>(n));
     w.kv("metrics", join(ms, ", "));
     any = true;
   }
   if (chance(rng, 0.7)) {
     std::vector<std::string> as = {"dec-bounded", "dec-only"};
-    const int n = std::min(axis_n(rng, accepts(kind, kMultiAttacks)), 2);
+    const int n = std::min(axis_n(rng, kind.accepts(kMultiAttacks)), 2);
     as.resize(static_cast<std::size_t>(n));
     w.kv("attacks", join(as, ", "));
     any = true;
   }
   if (chance(rng, 0.8)) {
     w.kv("damages", double_values(
-                        rng, axis_n(rng, accepts(kind, kMultiDamages)), 40,
+                        rng, axis_n(rng, kind.accepts(kMultiDamages)), 40,
                         400, 0));
     any = true;
   }
   if (chance(rng, 0.7)) {
     w.kv("compromised",
-         double_values(rng, axis_n(rng, accepts(kind, kMultiCompromised)),
+         double_values(rng, axis_n(rng, kind.accepts(kMultiCompromised)),
                        0.05, 0.4, 2));
     any = true;
   }
-  if (accepts(kind, kKeyDensities)) {
+  if (kind.accepts(kKeyDensities)) {
     w.kv("densities", int_values(rng, draw_int(rng, 1, 3), 50, 400));
     any = true;
   }
-  if (accepts(kind, kMultiShapes) && chance(rng, 0.5)) {
+  if (kind.accepts(kMultiShapes) && chance(rng, 0.5)) {
     w.kv("shapes", "grid, hex");
     any = true;
   }
-  if (accepts(kind, kMultiLocalizers) && chance(rng, 0.5)) {
+  if (kind.accepts(kMultiLocalizers) && chance(rng, 0.5)) {
     w.kv("localizers", "beaconless-mle, weighted-centroid");
     any = true;
   }
-  if (accepts(kind, kMultiActualSigmas) && chance(rng, 0.4)) {
+  if (kind.accepts(kMultiActualSigmas) && chance(rng, 0.4)) {
     w.kv("actual_sigmas",
          double_values(rng, draw_int(rng, 1, 3), 20, 80, 0));
     w.kv("mismatch_coupling", chance(rng, 0.5) ? "axes" : "product");
     any = true;
   }
-  if (accepts(kind, kMultiJitters) && chance(rng, 0.4)) {
+  if (kind.accepts(kMultiJitters) && chance(rng, 0.4)) {
     w.kv("jitters", double_values(rng, draw_int(rng, 1, 2), 0.5, 10, 1));
     any = true;
   }
-  if (accepts(kind, kKeyGroupThresholds) && chance(rng, 0.4)) {
+  if (kind.accepts(kKeyGroupThresholds) && chance(rng, 0.4)) {
     w.kv("group_thresholds", "global, per_group");
     any = true;
   }
@@ -172,7 +168,7 @@ void emit_sweep(ScnWriter& w, Rng& rng, const KindSpec& kind) {
   // sometimes, but usually guarantee at least one key above.
   if (!any && chance(rng, 0.5)) {
     w.kv("damages", double_values(
-                        rng, axis_n(rng, accepts(kind, kMultiDamages)), 40,
+                        rng, axis_n(rng, kind.accepts(kMultiDamages)), 40,
                         400, 0));
   }
 }
@@ -250,12 +246,12 @@ std::string generate_valid_scn(Rng& rng) {
     if (chance(rng, 0.3)) {
       w.kv("dvhop_trials", std::to_string(draw_int(rng, 2, 30)));
     }
-    if (accepts(kind, kKeyDensities) && chance(rng, 0.5)) {
+    if (kind.accepts(kKeyDensities) && chance(rng, 0.5)) {
       w.kv("densities", int_values(rng, draw_int(rng, 1, 2), 50, 200));
     }
   }
 
-  if (accepts(kind, kKeyDensities) || chance(rng, 0.8)) {
+  if (kind.accepts(kKeyDensities) || chance(rng, 0.8)) {
     emit_sweep(w, rng, kind);
   }
 
@@ -263,10 +259,10 @@ std::string generate_valid_scn(Rng& rng) {
     w.section("detector");
     if (chance(rng, 0.6)) w.kv("tau", fmt(rng.uniform(0.5, 0.999), 3));
     if (chance(rng, 0.5)) w.kv("fp_budget", fmt(rng.uniform(0.005, 0.2), 3));
-    if (accepts(kind, kKeyGroupMinSamples) && chance(rng, 0.4)) {
+    if (kind.accepts(kKeyGroupThresholds) && chance(rng, 0.4)) {
       w.kv("group_min_samples", std::to_string(draw_int(rng, 1, 200)));
     }
-    if (accepts(kind, kKeyBundle) && chance(rng, 0.3)) {
+    if (kind.accepts(kKeyBundle) && chance(rng, 0.3)) {
       // Parse-time valid; only an actual run would open the file.
       w.kv("bundle", "artifacts/fuzz.lad");
     }
@@ -378,7 +374,7 @@ std::string experiment_of(const std::vector<std::string>& lines) {
 /// A planted edit the spec's kind must reject: a second value on an axis
 /// it does not sweep, or a kind-only key it does not consume.
 struct UnsweptPlant {
-  unsigned bit;  ///< the KindAccepts bit that would make the edit valid
+  KindAccepts bit;  ///< the bit that would make the edit valid
   const char* section;
   const char* key;
   const char* line;
@@ -398,7 +394,7 @@ const std::vector<UnsweptPlant>& unswept_plants() {
       {kKeyDensities, "sweep", "densities", "densities = 100, 300"},
       {kKeyGroupThresholds, "sweep", "group_thresholds",
        "group_thresholds = global, per_group"},
-      {kKeyGroupMinSamples, "detector", "group_min_samples",
+      {kKeyGroupThresholds, "detector", "group_min_samples",
        "group_min_samples = 5"},
       {kKeyBundle, "detector", "bundle", "bundle = artifacts/fuzz.lad"},
   };
@@ -517,7 +513,7 @@ ScnMutation mutate_scn(const std::string& valid, Rng& rng,
     const KindSpec& row = find_kind(kind);
     std::vector<UnsweptPlant> candidates;
     for (const UnsweptPlant& p : unswept_plants()) {
-      if (!accepts(row, p.bit)) candidates.push_back(p);
+      if (!row.accepts(p.bit)) candidates.push_back(p);
     }
     const UnsweptPlant& p = pick(rng, candidates);
     m.needle = p.key;

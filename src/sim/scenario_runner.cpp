@@ -437,7 +437,7 @@ constexpr unsigned kDeploymentAxes =
 const std::vector<KindSpec>& kind_table() {
   using S = ScenarioRunState;
   using Spec = ScenarioSpec;
-  // Row: kind, name, own section, accepts, section parser, section keys
+  // Row: kind, name, own section, accepted, section parser, section keys
   // (fuzz domains: key, lo, hi, decimals, max values, chance), items,
   // table ids, run.
   static const std::vector<KindSpec> table = {
@@ -452,9 +452,7 @@ const std::vector<KindSpec>& kind_table() {
        },
        &S::run_roc},
       {ExperimentKind::kDrSweep, "dr-sweep", "",
-       kGridAxes | kDeploymentAxes | kKeyGroupThresholds |
-           kKeyGroupMinSamples,
-       nullptr, {},
+       kGridAxes | kDeploymentAxes | kKeyGroupThresholds, nullptr, {},
        [](const Spec& s) {
          return len(s.group_threshold_modes) * len(mismatch_pairs(s)) *
                 len(s.shapes) * len(s.localizers) * len(s.metrics) *

@@ -19,15 +19,11 @@
 namespace lad {
 namespace {
 
-bool accepts(const KindSpec& kind, KindAccepts bit) {
-  return (kind.accepts & bit) != 0;
-}
-
 /// The smallest spec text of `kind` the parser accepts, plus `extra`.
 std::string minimal_spec(const KindSpec& kind, const std::string& extra) {
   std::string text = "[scenario]\nname = k\nexperiment = " +
                      std::string(kind.name) + "\n";
-  if (accepts(kind, kKeyDensities)) text += "[sweep]\ndensities = 100\n";
+  if (kind.accepts(kKeyDensities)) text += "[sweep]\ndensities = 100\n";
   return text + extra;
 }
 
@@ -88,6 +84,16 @@ TEST(KindTable, OwnSectionIsAcceptedAndEveryOtherRejected) {
             << e.what();
       }
     }
+  }
+}
+
+// Each kind-only key belongs to exactly one kind, so the parser's "is only
+// consumed by <kind>" rejection names a single owner.
+TEST(KindTable, EveryKindOnlyKeyHasOneOwner) {
+  for (KindAccepts key : {kKeyDensities, kKeyGroupThresholds, kKeyBundle}) {
+    int owners = 0;
+    for (const KindSpec& row : kind_table()) owners += row.accepts(key);
+    EXPECT_EQ(owners, 1) << "key bit " << key;
   }
 }
 

@@ -182,11 +182,11 @@ struct ScenarioOverrides {
 
 ScenarioSpec apply_overrides(ScenarioSpec spec, const ScenarioOverrides& o);
 
-/// Reads the common override flags (--quick, --seed, --m, --networks,
-/// --victims, --threads, --jobs, --r, --sigma) of `lad_cli run`.  `--jobs` must be >= 1; zero
-/// and negative values are rejected by name (the parallel_for_items
-/// convention: a computed-jobs bug must surface, not silently serialize
-/// or grab all cores).
+/// Reads the common override flags of `lad_cli run` (--quick, --seed, --m,
+/// --networks, --victims, --threads, --jobs, --r, --sigma).  `--jobs` must
+/// be >= 1; zero and negative values are rejected by name (the
+/// parallel_for_items convention: a computed-jobs bug must surface, not
+/// silently serialize or grab all cores).
 ScenarioOverrides overrides_from_flags(const Flags& flags);
 
 /// One shard of a work-item list: the items with id % count == index.

@@ -1230,8 +1230,8 @@ ScenarioResult ScenarioRunState::run_fusion(const ShardRange& shard) {
 }
 
 ScenarioResult ScenarioRunState::run_mmse(const ShardRange& shard) {
-  ScenarioResult result = new_result(
-      {{"lie_m", "mmse_mean_err", "mmse_max_err"}, {"lie_m", "dvhop_mean_err"}});
+  ScenarioResult result = new_result({{"lie_m", "mmse_mean_err", "mmse_max_err"},
+                                      {"lie_m", "dvhop_mean_err"}});
 
   const std::uint64_t seed = spec.pipeline.seed;
 

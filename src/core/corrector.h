@@ -18,7 +18,8 @@
 // groups) because a tainted observation is bimodal: one bump of surviving
 // truth around La, one forged bump around the planted Le.
 //
-// Expected behaviour (measured in bench/tab_correction):
+// Expected behaviour (measured by
+// `lad_cli run --scenario bench/scenarios/tab_correction.scn`):
 //  * Dec-Only attacks only silence, so the surviving bump dominates and
 //    correction recovers La to within the scheme's benign error;
 //  * Dec-Bounded attacks can forge an arbitrarily convincing bump at Le,
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "deploy/deployment_model.h"
+#include "deploy/group_likelihood.h"
 #include "deploy/gz_table.h"
 #include "deploy/observation.h"
 #include "geom/vec2.h"
@@ -89,7 +91,7 @@ class LocationCorrector {
   double group_term(int count, Vec2 theta, int group) const;
 
   const DeploymentModel* model_;
-  const GzTable* gz_;
+  GroupLikelihood likelihood_;
   double penalty_cap_;
   int seeds_;
   double tol_meters_;

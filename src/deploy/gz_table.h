@@ -18,7 +18,8 @@ class GzTable {
  public:
   /// Default omega follows the paper's observation that "omega does not
   /// need to be very large"; 256 gives max abs error ~1e-5 for the paper's
-  /// parameters (see bench/tab_gz_accuracy).
+  /// parameters (measured by
+  /// `lad_cli run --scenario bench/scenarios/tab_gz_accuracy.scn`).
   explicit GzTable(const GzParams& params, int omega = 256);
 
   /// g at scalar distance z (constant-time lookup).

@@ -1,7 +1,7 @@
 #include "loc/beaconless_mle.h"
 
+#include <algorithm>
 #include <array>
-#include <cmath>
 
 #include "deploy/deployment_model.h"
 #include "deploy/gz_table.h"
@@ -9,7 +9,6 @@
 #include "geom/aabb.h"
 #include "geom/vec2.h"
 #include "loc/weighted_centroid.h"
-#include "stats/special.h"
 #include "util/assert.h"
 
 namespace lad {
@@ -17,24 +16,18 @@ namespace lad {
 BeaconlessMleLocalizer::BeaconlessMleLocalizer(const DeploymentModel& model,
                                                const GzTable& gz,
                                                double tol_meters)
-    : model_(&model), gz_(&gz), tol_meters_(tol_meters) {
+    : model_(&model), likelihood_(model, gz), tol_meters_(tol_meters) {
   LAD_REQUIRE_MSG(tol_meters > 0, "tolerance must be positive");
 }
 
 double BeaconlessMleLocalizer::log_likelihood(const Observation& obs,
                                               Vec2 theta) const {
-  const int m = model_->config().nodes_per_group;
-  // Floor on g_i: observing a node from a group whose probability at theta
-  // is (numerically) zero must make theta very unlikely, but not -inf -
-  // tainted observations would otherwise flatten the whole field to -inf
-  // and strand the search.  With the floor, locations explaining more of
-  // the observation still compare as strictly better.
-  constexpr double kPFloor = 1e-300;
+  LAD_REQUIRE_MSG(obs.num_groups() ==
+                      static_cast<std::size_t>(model_->num_groups()),
+                  "observation size mismatch");
   double ll = 0.0;
   for (std::size_t g = 0; g < obs.num_groups(); ++g) {
-    double p = gz_->at(theta, model_->deployment_point(static_cast<int>(g)));
-    if (p < kPFloor) p = kPFloor;
-    ll += log_binomial_pmf(obs.counts[g], m, p);
+    ll += likelihood_.term(obs.counts[g], theta, static_cast<int>(g));
   }
   return ll;
 }

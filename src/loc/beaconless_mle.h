@@ -17,6 +17,7 @@
 #pragma once
 
 #include "deploy/deployment_model.h"
+#include "deploy/group_likelihood.h"
 #include "deploy/gz_table.h"
 #include "deploy/network.h"
 #include "deploy/observation.h"
@@ -49,7 +50,7 @@ class BeaconlessMleLocalizer final : public Localizer {
 
  private:
   const DeploymentModel* model_;
-  const GzTable* gz_;
+  GroupLikelihood likelihood_;
   double tol_meters_;
 };
 

@@ -3,7 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "attack/adversary.h"
 #include "attack/displacement.h"
@@ -12,16 +19,136 @@
 #include "core/serialize.h"
 #include "deploy/config.h"
 #include "deploy/deployment_model.h"
+#include "deploy/group_likelihood.h"
 #include "deploy/gz_table.h"
 #include "deploy/network.h"
 #include "deploy/observation.h"
+#include "geom/aabb.h"
 #include "geom/vec2.h"
 #include "rng/rng.h"
 #include "stats/running_stats.h"
+#include "stats/special.h"
 #include "util/assert.h"
 
 namespace lad {
 namespace {
+
+// The scalar reference the tabulated GroupLikelihood replaced:
+// LocationCorrector::correct() as it was before tabulation, with each
+// group term recomputed from log_binomial_pmf and capped per group.
+class ReferenceCorrector {
+ public:
+  ReferenceCorrector(const DeploymentModel& model, const GzTable& gz,
+                     const LocationCorrector& caps)
+      : model_(model), gz_(gz), caps_(caps) {}
+
+  double group_term(int count, Vec2 theta, int group) const {
+    const int m = model_.config().nodes_per_group;
+    double p = gz_.at(theta, model_.deployment_point(group));
+    if (p < GroupLikelihood::kPFloor) p = GroupLikelihood::kPFloor;
+    return std::max(log_binomial_pmf(count, m, p),
+                    -caps_.cap_for_group(group));
+  }
+
+  double robust_log_likelihood(const Observation& obs, Vec2 theta) const {
+    double ll = 0.0;
+    for (std::size_t g = 0; g < obs.num_groups(); ++g) {
+      ll += group_term(obs.counts[g], theta, static_cast<int>(g));
+    }
+    return ll;
+  }
+
+  Vec2 pattern_search(const Observation& obs, Vec2 seed) const {
+    const Aabb field = model_.config().field();
+    Vec2 best = field.clamp(seed);
+    double best_ll = robust_log_likelihood(obs, best);
+    double pitch = model_.config().field_side /
+                   (2.0 * std::max(model_.config().grid_nx,
+                                   model_.config().grid_ny));
+    static constexpr std::array<Vec2, 8> kDirs = {
+        Vec2{1, 0},  Vec2{-1, 0}, Vec2{0, 1},  Vec2{0, -1},
+        Vec2{1, 1},  Vec2{1, -1}, Vec2{-1, 1}, Vec2{-1, -1}};
+    while (pitch >= 0.5) {
+      bool improved = false;
+      for (const Vec2& d : kDirs) {
+        const Vec2 cand = field.clamp(best + d * pitch);
+        const double ll = robust_log_likelihood(obs, cand);
+        if (ll > best_ll) {
+          best_ll = ll;
+          best = cand;
+          improved = true;
+        }
+      }
+      if (!improved) pitch /= 2.0;
+    }
+    return best;
+  }
+
+  CorrectionResult correct(const Observation& obs) const {
+    if (obs.total() == 0) {
+      CorrectionResult result;
+      result.corrected = caps_.max_prior_deployment_point();
+      result.robust_ll = robust_log_likelihood(obs, result.corrected);
+      for (std::size_t g = 0; g < obs.num_groups(); ++g) {
+        result.capped_groups.push_back(static_cast<int>(g));
+      }
+      return result;
+    }
+    std::vector<Vec2> starts;
+    double wx = 0, wy = 0, wt = 0;
+    std::vector<std::pair<int, int>> by_count;
+    for (std::size_t g = 0; g < obs.num_groups(); ++g) {
+      const Vec2 dp = model_.deployment_point(static_cast<int>(g));
+      wx += obs.counts[g] * dp.x;
+      wy += obs.counts[g] * dp.y;
+      wt += obs.counts[g];
+      if (obs.counts[g] > 0) {
+        by_count.emplace_back(obs.counts[g], static_cast<int>(g));
+      }
+    }
+    starts.push_back({wx / wt, wy / wt});
+    std::sort(by_count.rbegin(), by_count.rend());
+    for (std::size_t s = 0; s < 5 && s < by_count.size(); ++s) {
+      starts.push_back(model_.deployment_point(by_count[s].second));
+    }
+    Vec2 best{};
+    double best_ll = -std::numeric_limits<double>::infinity();
+    for (const Vec2& seed : starts) {
+      const Vec2 cand = pattern_search(obs, seed);
+      const double ll = robust_log_likelihood(obs, cand);
+      if (ll > best_ll) {
+        best_ll = ll;
+        best = cand;
+      }
+    }
+    CorrectionResult result;
+    result.corrected = best;
+    result.robust_ll = best_ll;
+    for (std::size_t g = 0; g < obs.num_groups(); ++g) {
+      const int group = static_cast<int>(g);
+      if (group_term(obs.counts[g], best, group) <=
+          -caps_.cap_for_group(group)) {
+        result.capped_groups.push_back(group);
+      }
+    }
+    return result;
+  }
+
+ private:
+  const DeploymentModel& model_;
+  const GzTable& gz_;
+  const LocationCorrector& caps_;
+};
+
+void expect_same_correction(const CorrectionResult& got,
+                            const CorrectionResult& want,
+                            const std::string& what) {
+  EXPECT_EQ(got.corrected, want.corrected) << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.robust_ll),
+            std::bit_cast<std::uint64_t>(want.robust_ll))
+      << what << ": " << got.robust_ll << " vs " << want.robust_ll;
+  EXPECT_EQ(got.capped_groups, want.capped_groups) << what;
+}
 
 DeploymentConfig cfg8() {
   DeploymentConfig cfg;
@@ -247,6 +374,55 @@ TEST_F(CorrectorTest, GroupSpreadRejectsMismatchedBundle) {
       make_bundle(other_model, 128, MetricKind::kDiff, 10.0);
   LocationCorrector c(model_, gz_);
   EXPECT_THROW(c.apply_group_spread(bundle), AssertionError);
+}
+
+TEST_F(CorrectorTest, MatchesScalarReferenceCorrection) {
+  // Benign, greedy-tainted (both attack classes), all-zero and one-hot
+  // observations, under the base caps and under bundle-conditioned ones:
+  // same estimate, bit-identical robust_ll, same capped groups.
+  DetectorSpec spec;
+  spec.metric = MetricKind::kDiff;
+  spec.threshold = 10.0;
+  spec.group_overrides = {
+      {0, 20.0, GroupOverrideSource::kTrained, 50, 4.0, 2.0},
+      {27, 5.0, GroupOverrideSource::kTrained, 50, 1.0, 0.5}};
+  LocationCorrector conditioned(model_, gz_);
+  conditioned.apply_group_spread(make_bundle(model_, 128, {spec}));
+
+  const int m = cfg_.nodes_per_group;
+  const std::size_t groups = static_cast<std::size_t>(model_.num_groups());
+  std::vector<Observation> cases;
+  cases.emplace_back(groups);
+  for (std::size_t g : {std::size_t{0}, std::size_t{27}, groups - 1}) {
+    for (int count : {1, m}) {
+      Observation one_hot(groups);
+      one_hot.counts[g] = count;
+      cases.push_back(one_hot);
+    }
+  }
+  for (int t = 0; t < 6; ++t) {
+    const std::size_t node = in_field_victim();
+    const Observation a = net_.observe(node);
+    cases.push_back(a);
+    const Vec2 le =
+        displaced_location(net_.position(node), 200.0, cfg_.field(), rng_);
+    for (AttackClass cls : {AttackClass::kDecBounded, AttackClass::kDecOnly}) {
+      cases.push_back(greedy_taint(a, model_.expected_observation(le, gz_), m,
+                                   MetricKind::kDiff, cls,
+                                   static_cast<int>(0.15 * a.total()))
+                          .tainted);
+    }
+  }
+  const ReferenceCorrector base_ref(model_, gz_, corrector_);
+  const ReferenceCorrector conditioned_ref(model_, gz_, conditioned);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const std::string what = "case " + std::to_string(i);
+    expect_same_correction(corrector_.correct(cases[i]),
+                           base_ref.correct(cases[i]), what);
+    expect_same_correction(conditioned.correct(cases[i]),
+                           conditioned_ref.correct(cases[i]),
+                           what + " (conditioned)");
+  }
 }
 
 }  // namespace

@@ -2,19 +2,76 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "util/assert.h"
 
+#include "attack/adversary.h"
+#include "attack/displacement.h"
+#include "attack/greedy.h"
+#include "core/metric.h"
 #include "deploy/config.h"
 #include "deploy/deployment_model.h"
+#include "deploy/group_likelihood.h"
 #include "deploy/gz_table.h"
 #include "deploy/network.h"
 #include "deploy/observation.h"
+#include "geom/aabb.h"
 #include "geom/vec2.h"
+#include "loc/weighted_centroid.h"
 #include "rng/rng.h"
 #include "stats/running_stats.h"
+#include "stats/special.h"
 
 namespace lad {
 namespace {
+
+// The scalar reference the tabulated GroupLikelihood replaced: the
+// per-group log Binom term recomputed from log_binomial_pmf, summed and
+// searched exactly as BeaconlessMleLocalizer did before tabulation.
+double reference_log_likelihood(const DeploymentModel& model,
+                                const GzTable& gz, const Observation& obs,
+                                Vec2 theta) {
+  const int m = model.config().nodes_per_group;
+  double ll = 0.0;
+  for (std::size_t g = 0; g < obs.num_groups(); ++g) {
+    double p = gz.at(theta, model.deployment_point(static_cast<int>(g)));
+    if (p < GroupLikelihood::kPFloor) p = GroupLikelihood::kPFloor;
+    ll += log_binomial_pmf(obs.counts[g], m, p);
+  }
+  return ll;
+}
+
+Vec2 reference_estimate(const DeploymentModel& model, const GzTable& gz,
+                        const Observation& obs, double tol_meters = 0.5) {
+  const Aabb field = model.config().field();
+  Vec2 best = weighted_centroid_estimate(model, obs);
+  double best_ll = reference_log_likelihood(model, gz, obs, best);
+  double pitch = model.config().field_side /
+                 (2.0 * std::max(model.config().grid_nx,
+                                 model.config().grid_ny));
+  static constexpr std::array<Vec2, 8> kDirs = {
+      Vec2{1, 0},  Vec2{-1, 0}, Vec2{0, 1},  Vec2{0, -1},
+      Vec2{1, 1},  Vec2{1, -1}, Vec2{-1, 1}, Vec2{-1, -1}};
+  while (pitch >= tol_meters) {
+    bool improved = false;
+    for (const Vec2& d : kDirs) {
+      const Vec2 cand = field.clamp(best + d * pitch);
+      const double ll = reference_log_likelihood(model, gz, obs, cand);
+      if (ll > best_ll) {
+        best_ll = ll;
+        best = cand;
+        improved = true;
+      }
+    }
+    if (!improved) pitch /= 2.0;
+  }
+  return best;
+}
 
 DeploymentConfig paper_config_small_m() {
   DeploymentConfig cfg;  // paper geometry
@@ -101,6 +158,46 @@ TEST_F(MleTest, LocalizerInterfaceMatchesDirectEstimate) {
   const std::size_t node = 42;
   EXPECT_EQ(mle_.localize(net_, node), mle_.estimate(net_.observe(node)));
   EXPECT_EQ(mle_.name(), "beaconless-mle");
+}
+
+TEST_F(MleTest, MatchesScalarReferenceSearch) {
+  // Benign, greedy-tainted (both attack classes), all-zero and one-hot
+  // observations: the tabulated likelihood must steer the search to the
+  // very same estimate, with bit-identical likelihoods along the way.
+  const int m = cfg_.nodes_per_group;
+  std::vector<Observation> cases;
+  cases.emplace_back(static_cast<std::size_t>(model_.num_groups()));
+  for (int g : {0, 9, 45, 99}) {
+    for (int count : {1, m}) {
+      Observation one_hot(static_cast<std::size_t>(model_.num_groups()));
+      one_hot.counts[static_cast<std::size_t>(g)] = count;
+      cases.push_back(one_hot);
+    }
+  }
+  Rng rng(4242);
+  for (int t = 0; t < 12; ++t) {
+    const std::size_t node = static_cast<std::size_t>(
+        rng.uniform_int(static_cast<std::uint64_t>(net_.num_nodes())));
+    const Observation a = net_.observe(node);
+    cases.push_back(a);
+    const Vec2 le =
+        displaced_location(net_.position(node), 160.0, cfg_.field(), rng);
+    for (AttackClass cls : {AttackClass::kDecBounded, AttackClass::kDecOnly}) {
+      cases.push_back(greedy_taint(a, model_.expected_observation(le, gz_), m,
+                                   MetricKind::kDiff, cls,
+                                   static_cast<int>(0.2 * a.total()))
+                          .tainted);
+    }
+  }
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Observation& obs = cases[i];
+    const Vec2 want = reference_estimate(model_, gz_, obs);
+    EXPECT_EQ(mle_.estimate(obs), want) << "case " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(mle_.log_likelihood(obs, want)),
+              std::bit_cast<std::uint64_t>(
+                  reference_log_likelihood(model_, gz_, obs, want)))
+        << "case " << i;
+  }
 }
 
 }  // namespace

@@ -173,6 +173,7 @@ TEST(LatchedCache, WaitersBlockedOnThrowingBuilderAllRethrow) {
   // Deterministic version of the race: the builder holds the latch until
   // every waiter has queued up, then throws - all of them must rethrow.
   LatchedCache<int> cache;
+  std::atomic<bool> entered{false};
   std::atomic<int> waiting{0};
   std::atomic<int> failures{0};
   constexpr int kWaiters = 3;
@@ -180,6 +181,7 @@ TEST(LatchedCache, WaitersBlockedOnThrowingBuilderAllRethrow) {
   std::thread builder([&] {
     try {
       cache.get("k", [&]() -> std::unique_ptr<int> {
+        entered = true;
         while (waiting.load() < kWaiters) std::this_thread::yield();
         throw AssertionError("deterministic failure");
       });
@@ -190,10 +192,12 @@ TEST(LatchedCache, WaitersBlockedOnThrowingBuilderAllRethrow) {
   std::vector<std::thread> waiters;
   for (int t = 0; t < kWaiters; ++t) {
     waiters.emplace_back([&] {
-      // Spin until this thread is inside get() is not observable from
-      // outside, so approximate: announce, then call (the builder only
-      // needs all announcements to have happened before it throws;
-      // stragglers re-run the builder and succeed instead).
+      // Start only once the builder runs inside get(), so the entry is
+      // published and this waiter can never become the builder itself.
+      // Being blocked inside get() is not observable from outside, so
+      // announce, then call: a waiter that reaches get() after the
+      // builder threw finds the key unpublished, rebuilds and succeeds.
+      while (!entered.load()) std::this_thread::yield();
       ++waiting;
       try {
         const int& v = cache.get("k", [] { return std::make_unique<int>(9); });

@@ -3,6 +3,7 @@
 //   * Section 3.3: the g(z) table lookup is constant-time and cheap,
 //     versus the "quite complicated" exact integral;
 //   * metric evaluation cost per detection decision;
+//   * the Section 7.1 greedy taint per metric and attack class;
 //   * expected-observation computation (n table lookups);
 //   * neighbor-query throughput of the spatial index, single
 //     (BM_NeighborQuery) and batched (BM_ObserveMany/BM_ObserveGrid) —
@@ -10,6 +11,12 @@
 //   * end-to-end Detector::check and MLE localization.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <cstddef>
+#include <vector>
+
+#include "attack/adversary.h"
+#include "attack/greedy.h"
 #include "core/detector.h"
 #include "core/metric.h"
 #include "deploy/config.h"
@@ -187,6 +194,35 @@ void BM_DetectorCheck(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DetectorCheck);
+
+/// One greedy taint (Section 7.1) per iteration over the sampled victims,
+/// each claiming a location displaced by D = 120 (so the taint has work to
+/// do), with budget round(x |a|) as the scoring passes compute it.  Args:
+/// metric (Diff, Add-all, Prob), class (Dec-Bounded, Dec-Only), x in %.
+void BM_GreedyTaint(benchmark::State& state) {
+  const MetricKind metric = static_cast<MetricKind>(state.range(0));
+  const AttackClass cls = static_cast<AttackClass>(state.range(1));
+  const double x = static_cast<double>(state.range(2)) / 100.0;
+  const SampledInputs& in = bench_inputs();
+  std::vector<ExpectedObservation> mus;
+  std::vector<int> budgets;
+  for (std::size_t i = 0; i < in.observations.size(); ++i) {
+    mus.push_back(bench_model().expected_observation(
+        in.locations[i] + Vec2{120.0, 0.0}, bench_gz()));
+    budgets.push_back(static_cast<int>(
+        std::lround(x * in.observations[i].total())));
+  }
+  const int m = bench_config().nodes_per_group;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(greedy_taint(in.observations[i], mus[i], m,
+                                          metric, cls, budgets[i]));
+    i = (i + 1) % in.observations.size();
+  }
+}
+BENCHMARK(BM_GreedyTaint)
+    ->ArgNames({"metric", "class", "x_pct"})
+    ->ArgsProduct({{0, 1, 2}, {0, 1}, {10, 50}});
 
 void BM_MleLocalize(benchmark::State& state) {
   const BeaconlessMleLocalizer mle(bench_model(), bench_gz());

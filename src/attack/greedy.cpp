@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <functional>
 #include <queue>
+#include <utility>
+#include <vector>
 
 #include "attack/adversary.h"
 #include "core/metric.h"
@@ -92,26 +96,36 @@ int decrement_separable(MetricKind metric, Observation& o,
 }
 
 /// Greedy budgeted decrements for the Prob metric (a max over unimodal
-/// group terms): lower the current arg-max while a decrement helps.
+/// group terms): lower the current arg-max while a decrement helps.  The
+/// arg-max comes from a max-heap whose equal terms pop the lowest group
+/// index, the group a left-to-right `term[i] > term[j]` scan would pick.
+/// Only the popped group's term changes per step, so no entry goes stale.
 int decrement_prob(Observation& o, const ExpectedObservation& mu, int m,
                    int x) {
-  const std::size_t n = mu.size();
-  std::vector<double> term(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    term[i] = prob_metric_group_score(o.counts[i], mu[i], m);
-  }
-  int spent = 0;
-  while (spent < x) {
-    // Current arg-max group.
-    std::size_t j = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-      if (term[i] > term[j]) j = i;
+  struct Entry {
+    double term;
+    std::size_t group;
+    bool operator<(const Entry& other) const {
+      if (term != other.term) return term < other.term;
+      return group > other.group;
     }
+  };
+  std::vector<Entry> entries;
+  entries.reserve(mu.size());
+  for (std::size_t i = 0; i < mu.size(); ++i) {
+    entries.push_back({prob_metric_group_score(o.counts[i], mu[i], m), i});
+  }
+  std::priority_queue<Entry> heap(std::less<Entry>(), std::move(entries));
+  int spent = 0;
+  while (spent < x && !heap.empty()) {
+    const Entry top = heap.top();
+    const std::size_t j = top.group;
     if (o.counts[j] == 0) break;  // cannot decrement the worst group
     const double lower = prob_metric_group_score(o.counts[j] - 1, mu[j], m);
-    if (lower >= term[j]) break;  // decrementing would not reduce the max
+    if (lower >= top.term) break;  // decrementing would not reduce the max
+    heap.pop();
     --o.counts[j];
-    term[j] = lower;
+    heap.push({lower, j});
     ++spent;
   }
   return spent;

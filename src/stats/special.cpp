@@ -1,6 +1,8 @@
 #include "stats/special.h"
 
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 
 #include "util/assert.h"
@@ -34,6 +36,19 @@ double lgamma_threadsafe(double x) {
 
 double log_factorial(int n) {
   LAD_REQUIRE_MSG(n >= 0, "factorial of a negative number");
+  // log n! for n < kTableSize (8 KiB), filled once by the very lgamma call
+  // the fallback makes, so a table read is bit-identical to it.  This
+  // takes lgamma off every log_binomial_pmf with m < kTableSize.
+  constexpr int kTableSize = 1024;
+  static const std::array<double, kTableSize> table = [] {
+    std::array<double, kTableSize> t{};
+    for (int i = 0; i < kTableSize; ++i) {
+      t[static_cast<std::size_t>(i)] =
+          lgamma_threadsafe(static_cast<double>(i) + 1.0);
+    }
+    return t;
+  }();
+  if (n < kTableSize) return table[static_cast<std::size_t>(n)];
   return lgamma_threadsafe(static_cast<double>(n) + 1.0);
 }
 

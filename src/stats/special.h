@@ -5,7 +5,8 @@
 
 namespace lad {
 
-/// log(n!) via lgamma; exact for the integers we use.
+/// log(n!) via lgamma; exact for the integers we use.  Read from a table
+/// (filled by the same lgamma calls, so bit-identical) for n < 1024.
 double log_factorial(int n);
 
 /// log C(n, k); requires 0 <= k <= n.

@@ -5,6 +5,8 @@
 #include "util/assert.h"
 
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
 #include "attack/adversary.h"
 #include "core/metric.h"
@@ -225,6 +227,124 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0, 1, 2),   // Diff, AddAll, Prob
                        ::testing::Values(0, 1)),     // DecBounded, DecOnly
     greedy_case_name);
+
+// ---------------------------------------------------------------------------
+// Oracle: the Prob-metric decrements against a retained copy of the linear
+// arg-max scan they replaced.  The heap must pick the same group on every
+// step, ties included (equal terms go to the lowest group index).
+// ---------------------------------------------------------------------------
+
+/// The reference: rescan every group term per unit of budget.
+int reference_decrement_prob(Observation& o, const ExpectedObservation& mu,
+                             int m, int x) {
+  const std::size_t n = mu.size();
+  if (n == 0) return 0;
+  std::vector<double> term(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    term[i] = prob_metric_group_score(o.counts[i], mu[i], m);
+  }
+  int spent = 0;
+  while (spent < x) {
+    std::size_t j = 0;
+    for (std::size_t i = 1; i < n; ++i) {
+      if (term[i] > term[j]) j = i;
+    }
+    if (o.counts[j] == 0) break;
+    const double lower = prob_metric_group_score(o.counts[j] - 1, mu[j], m);
+    if (lower >= term[j]) break;
+    --o.counts[j];
+    term[j] = lower;
+    ++spent;
+  }
+  return spent;
+}
+
+/// greedy_taint(kProb) against the reference for every budget 0..total.
+/// The free increases of step 1 are read off greedy_taint at budget 0,
+/// which applies them and no decrement.
+void expect_prob_taint_matches_reference(const Observation& a,
+                                         const ExpectedObservation& mu, int m,
+                                         AttackClass cls) {
+  const Observation start =
+      greedy_taint(a, mu, m, MetricKind::kProb, cls, 0).tainted;
+  for (int x = 0; x <= start.total(); ++x) {
+    Observation expected = start;
+    const int expected_spent = reference_decrement_prob(expected, mu, m, x);
+    const TaintResult r = greedy_taint(a, mu, m, MetricKind::kProb, cls, x);
+    ASSERT_EQ(r.tainted.counts, expected.counts) << "budget " << x;
+    ASSERT_EQ(r.budget_spent, expected_spent) << "budget " << x;
+  }
+}
+
+TEST(GreedyProbOracle, RandomObservationsMatchTheLinearScan) {
+  Rng rng(1414);
+  const int m = 40;
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 1 + rng.uniform_int(std::uint64_t{10});
+    Observation a = random_observation(n, 25, rng);
+    ExpectedObservation mu = random_mu(n, 25.0, rng);
+    if (trial % 4 == 0) {
+      // A zero mu makes any positive count the 1e12 "impossible" term.
+      mu[0] = 0.0;
+    } else if (trial % 4 == 1) {
+      // Few distinct (count, mu) pairs, so groups tie on the maximum.
+      for (std::size_t i = 0; i < n; ++i) {
+        a.counts[i] = 8 * static_cast<int>(rng.uniform_int(std::uint64_t{3}));
+        mu[i] = 5.0 * static_cast<double>(1 + rng.uniform_int(std::uint64_t{2}));
+      }
+    }
+    for (const AttackClass cls :
+         {AttackClass::kDecBounded, AttackClass::kDecOnly}) {
+      SCOPED_TRACE(testing::Message() << "trial " << trial << " class "
+                                      << static_cast<int>(cls));
+      expect_prob_taint_matches_reference(a, mu, m, cls);
+    }
+  }
+}
+
+TEST(GreedyProbOracle, TiedMaximaGoToTheLowestGroupFirst) {
+  const int m = 40;
+  // Equal mu and equal counts: every group holds the maximum term.
+  for (const int count : {0, 3, 12, 30}) {
+    for (const std::size_t n : {std::size_t{2}, std::size_t{5}}) {
+      const Observation a(std::vector<int>(n, count));
+      const ExpectedObservation mu(n, 5.0);
+      for (const AttackClass cls :
+           {AttackClass::kDecBounded, AttackClass::kDecOnly}) {
+        SCOPED_TRACE(testing::Message() << "count " << count << " n " << n
+                                        << " class " << static_cast<int>(cls));
+        expect_prob_taint_matches_reference(a, mu, m, cls);
+      }
+    }
+  }
+  // Two tied pairs at different levels, plus impossible-count ties.
+  expect_prob_taint_matches_reference(
+      Observation(std::vector<int>{9, 20, 9, 20}), {4.0, 6.0, 4.0, 6.0}, m,
+      AttackClass::kDecOnly);
+  expect_prob_taint_matches_reference(Observation(std::vector<int>{3, 3, 7}),
+                                      {0.0, 0.0, 7.0}, m,
+                                      AttackClass::kDecOnly);
+  // One budget unit over tied groups lowers group 0, not the last one.
+  const TaintResult one =
+      greedy_taint(Observation(std::vector<int>{12, 12, 12}), {5.0, 5.0, 5.0},
+                   m, MetricKind::kProb, AttackClass::kDecOnly, 1);
+  EXPECT_EQ(one.tainted.counts, (std::vector<int>{11, 12, 12}));
+}
+
+TEST(Greedy, ZeroGroupsReturnTheEmptyObservation) {
+  for (const MetricKind metric :
+       {MetricKind::kDiff, MetricKind::kAddAll, MetricKind::kProb}) {
+    for (const AttackClass cls :
+         {AttackClass::kDecBounded, AttackClass::kDecOnly}) {
+      for (const int x : {0, 1, 7}) {
+        const TaintResult r =
+            greedy_taint(Observation(0), {}, 50, metric, cls, x);
+        EXPECT_TRUE(r.tainted.counts.empty());
+        EXPECT_EQ(r.budget_spent, 0);
+      }
+    }
+  }
+}
 
 TEST(Greedy, RejectsNegativeBudgetAndSizeMismatch) {
   const Observation a(std::vector<int>{1});

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>  // getpid
+
 #include "sim/scenario.h"
 #include "support/golden.h"
 #include "util/assert.h"
@@ -263,9 +265,12 @@ QuickRun run_quick(const std::string& scn, int jobs) {
   spec = apply_overrides(spec, o);
   spec.jobs = jobs;
 
+  // The process id keeps the ctest legs of one spec (host default and
+  // pinned LAD_THREADS) apart when they run at once.
   const fs::path dir = fs::path(testing::TempDir()) /
                        ("lad_golden_" + spec.name + "_j" +
-                        std::to_string(jobs));
+                        std::to_string(jobs) + "_p" +
+                        std::to_string(::getpid()));
   fs::remove_all(dir);
   ScenarioRunner runner(spec);
   QuickRun out;

@@ -2,9 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <thread>
+#include <vector>
 
 #include "util/assert.h"
+
+// The reentrant lgamma that log_factorial is specified against, declared
+// by hand as in special.cpp (strict -std=c++20 hides it in <cmath>).
+#if defined(__GLIBC__) || defined(__APPLE__)
+extern "C" double lgamma_r(double, int*);
+#define LAD_HAVE_LGAMMA_R 1
+#endif
 
 namespace lad {
 namespace {
@@ -16,6 +29,57 @@ TEST(LogFactorial, SmallValuesExact) {
   EXPECT_NEAR(log_factorial(10), std::log(3628800.0), 1e-10);
   EXPECT_THROW(log_factorial(-1), AssertionError);
 }
+
+#ifdef LAD_HAVE_LGAMMA_R
+
+/// The reference log_factorial evaluates per call: lgamma_r(n + 1).
+double reference_log_factorial(int n) {
+  int sign = 0;
+  return lgamma_r(static_cast<double>(n) + 1.0, &sign);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// The table is the reference's values, not an approximation of them: every
+// entry, the two past its end and the large-n fallback match bit for bit.
+TEST(LogFactorial, BitEqualToTheLgammaReference) {
+  for (int n = 0; n <= 1026; ++n) {
+    ASSERT_EQ(bits(log_factorial(n)), bits(reference_log_factorial(n)))
+        << "n = " << n;
+  }
+  for (const int n : {2047, 4096, 100000, 1 << 30}) {
+    EXPECT_EQ(bits(log_factorial(n)), bits(reference_log_factorial(n)))
+        << "n = " << n;
+  }
+}
+
+// ctest runs each case in its own process, so these threads make the
+// table's first call together; the TSan build checks its initialisation.
+TEST(LogFactorial, ConcurrentFirstCallsSeeOneTable) {
+  constexpr int kThreads = 4;
+  constexpr int kN = 1027;
+  std::vector<std::vector<double>> seen(kThreads);
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&seen, &arrived, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      for (int n = 0; n < kN; ++n) {
+        seen[static_cast<std::size_t>(t)].push_back(log_factorial(n));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int n = 0; n < kN; ++n) {
+    const std::uint64_t want = bits(reference_log_factorial(n));
+    for (const std::vector<double>& values : seen) {
+      ASSERT_EQ(bits(values[static_cast<std::size_t>(n)]), want)
+          << "n = " << n;
+    }
+  }
+}
+#endif
 
 TEST(LogBinomialCoefficient, KnownValues) {
   EXPECT_NEAR(log_binomial_coefficient(5, 2), std::log(10.0), 1e-12);

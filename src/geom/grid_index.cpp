@@ -59,13 +59,6 @@ std::size_t GridIndex::cell_of(Vec2 p) const {
   return static_cast<std::size_t>(cy) * nx_ + cx;
 }
 
-void GridIndex::for_each_in_radius(
-    Vec2 p, double radius, const std::function<void(std::size_t)>& fn) const {
-  for_each_slot_in_radius(p, radius, [&](std::uint32_t slot, double) {
-    fn(static_cast<std::size_t>(order_[slot]));
-  });
-}
-
 std::vector<std::size_t> GridIndex::query(Vec2 p, double radius) const {
   std::vector<std::size_t> out;
   for_each_in_radius(p, radius, [&](std::size_t i) { out.push_back(i); });

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "geom/aabb.h"
@@ -64,11 +63,6 @@ class GridIndex {
                               fn(static_cast<std::size_t>(order_[slot]));
                             });
   }
-
-  /// Non-template compatibility shim for callers that hold a type-erased
-  /// callback (out of line; one indirect call per visited point).
-  void for_each_in_radius(Vec2 p, double radius,
-                          const std::function<void(std::size_t)>& fn) const;
 
   /// Slot-level visitation for batched kernels: calls fn(slot, dist2) for
   /// every slot whose point lies within `radius` of p.  `slot` indexes the

@@ -32,7 +32,7 @@ AmorphousLocalizer::AmorphousLocalizer(int kx, int ky, int max_anchors_used)
 }
 
 void AmorphousLocalizer::prepare(const Network& net) {
-  anchors_ = grid_anchor_nodes(net, kx_, ky_);
+  anchors_ = detail::grid_anchor_nodes(net, kx_, ky_);
   LAD_REQUIRE_MSG(anchors_.size() >= 3, "Amorphous needs >= 3 anchors");
   anchor_positions_.clear();
   for (std::size_t a : anchors_) anchor_positions_.push_back(net.position(a));

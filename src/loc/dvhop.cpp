@@ -12,7 +12,8 @@
 
 namespace lad {
 
-std::vector<std::size_t> grid_anchor_nodes(const Network& net, int kx, int ky) {
+std::vector<std::size_t> detail::grid_anchor_nodes(const Network& net, int kx,
+                                                   int ky) {
   LAD_REQUIRE_MSG(kx > 0 && ky > 0, "anchor grid must be non-empty");
   const Aabb field = net.model().config().field();
   const double dx = field.width() / kx;
@@ -49,7 +50,7 @@ DvHopLocalizer::DvHopLocalizer(int kx, int ky, int max_anchors_used)
 }
 
 void DvHopLocalizer::prepare(const Network& net) {
-  anchors_ = grid_anchor_nodes(net, kx_, ky_);
+  anchors_ = detail::grid_anchor_nodes(net, kx_, ky_);
   LAD_REQUIRE_MSG(anchors_.size() >= 3, "DV-Hop needs >= 3 distinct anchors");
   anchor_declared_.clear();
   for (std::size_t a : anchors_) anchor_declared_.push_back(net.position(a));

@@ -51,8 +51,12 @@ class DvHopLocalizer final : public Localizer {
   double avg_hop_distance_ = 0.0;
 };
 
+namespace detail {
+
 /// Picks the network node nearest to each point of a kx x ky grid over the
-/// field (shared by DV-Hop, Amorphous, and the attack benches).
+/// field (shared by DV-Hop and Amorphous).
 std::vector<std::size_t> grid_anchor_nodes(const Network& net, int kx, int ky);
+
+}  // namespace detail
 
 }  // namespace lad

@@ -28,6 +28,8 @@ namespace lad {
 /// Speed of sound used by the simulated ultrasound channel (m/s).
 inline constexpr double kUltrasoundSpeed = 343.0;
 
+// lad-lint: allow(dead-public) -- the element type of
+// EchoProtocol::verifiers()
 struct EchoVerifier {
   Vec2 position;
   /// Maximum ultrasound range; claims outside are unverifiable by this

@@ -17,6 +17,7 @@
 
 namespace lad {
 
+// lad-lint: allow(dead-public) -- the return type of mmse_multilaterate
 struct MmseResult {
   Vec2 position;
   double residual_rms;  ///< sqrt(mean((|p-a_i| - d_i)^2)) at the solution

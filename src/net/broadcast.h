@@ -31,6 +31,7 @@ struct NodeBehavior {
   std::vector<std::pair<int, int>> extra_claims;
 };
 
+// lad-lint: allow(dead-public) -- the argument of BroadcastSim::set_defenses
 struct DefenseConfig {
   /// Pairwise authentication: group claims that do not match the sender's
   /// true group are rejected by receivers.

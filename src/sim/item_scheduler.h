@@ -23,12 +23,6 @@
 
 namespace lad {
 
-/// Starts a row tagged with the work item that produces it.
-inline Table& tagged_row(ResultTable& t, long long item) {
-  t.row_items.push_back(item);
-  return t.table.new_row();
-}
-
 /// Where one work item's closure emits its rows: a private fragment table
 /// per result table, spliced back by the scheduler.  util/csv.h stores
 /// cells pre-formatted, so the splice is byte-exact.
@@ -86,8 +80,11 @@ class ItemScheduler {
       }
       for (std::size_t t = 0; t < entry.fragments.size(); ++t) {
         const Table& fragment = entry.fragments[t];
+        ResultTable& target = result_->tables[t];
         for (std::size_t r = 0; r < fragment.num_rows(); ++r) {
-          Table& row = tagged_row(result_->tables[t], entry.item);
+          // Each row is tagged with the work item that produced it.
+          target.row_items.push_back(entry.item);
+          Table& row = target.table.new_row();
           for (const std::string& cell : fragment.row(r)) row.add(cell);
         }
       }

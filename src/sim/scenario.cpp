@@ -113,7 +113,7 @@ void require_non_empty(const std::vector<double>& v, const char* what) {
 using detail::get_positive_int;
 using detail::require_non_empty;
 
-const char* group_threshold_mode_name(GroupThresholdMode mode) {
+const char* detail::group_threshold_mode_name(GroupThresholdMode mode) {
   switch (mode) {
     case GroupThresholdMode::kGlobal: return "global";
     case GroupThresholdMode::kPerGroup: return "per_group";

@@ -6,9 +6,8 @@
 // ScenarioSpec: deployment shape, localizer(s), metrics, attack classes,
 // damage/compromise/density sweeps, sample counts, seed, and FP budget.
 // The ScenarioRunner expands the spec's cartesian product into an ordered
-// list of work items and executes them through the existing Pipeline /
-// experiment entry points (which fan out per network via
-// parallel_for_items), emitting item-tagged result tables.
+// list of work items and executes them through Pipeline (which fans out
+// per network via parallel_for_items), emitting item-tagged result tables.
 //
 // Sharding: every work item derives its randomness from the spec's seed
 // through Philox-style (experiment, trial) keyed sub-streams (rng/rng.h),
@@ -56,6 +55,8 @@ const char* experiment_kind_name(ExperimentKind kind);
 /// How the two deployment-mismatch axes (actual_sigmas x jitters) combine:
 /// kAxes varies one axis at a time (first value of the other axis held),
 /// kProduct takes the full cartesian product.
+// lad-lint: allow(dead-public) -- the type of
+// ScenarioSpec::mismatch_coupling
 enum class MismatchCoupling { kAxes, kProduct };
 
 /// Threshold-training mode axis for dr-sweep: one pooled threshold for the
@@ -63,10 +64,16 @@ enum class MismatchCoupling { kAxes, kProduct };
 /// buckets (min-samples fallback to the pooled value).
 enum class GroupThresholdMode { kGlobal, kPerGroup };
 
+namespace detail {
+
+/// The spelling of `mode` in specs and in the dr table's group_mode column.
 const char* group_threshold_mode_name(GroupThresholdMode mode);
+
+}  // namespace detail
 
 /// Reduced sample counts applied in quick (CI smoke) mode; every field is
 /// optional so specs only override what matters for their kind.
+// lad-lint: allow(dead-public) -- the type of ScenarioSpec::quick
 struct QuickOverrides {
   std::optional<int> networks;
   std::optional<int> victims;

@@ -2,8 +2,7 @@
 // executes it: each kind's row names its section, the axes and keys it
 // accepts, its item count, its table ids and its run function, which
 // expands the spec's cartesian product into an ordered work-item list and
-// executes it (or one shard of it) through the existing Pipeline /
-// experiment entry points.
+// executes it (or one shard of it) through Pipeline.
 //
 // Work-item ids are assigned by iterating the expansion in a fixed order,
 // so ids are identical in every shard of the same spec.  All randomness is
@@ -46,7 +45,6 @@
 #include "loc/echo.h"
 #include "loc/mmse.h"
 #include "rng/rng.h"
-#include "sim/experiment.h"
 #include "sim/item_scheduler.h"
 #include "sim/kind_table.h"
 #include "sim/latched_cache.h"
@@ -65,6 +63,7 @@ namespace lad {
 namespace {
 
 using detail::get_positive_int;
+using detail::group_threshold_mode_name;
 using detail::require_non_empty;
 
 template <class T>
@@ -111,6 +110,36 @@ std::string percent_label(double fp) {
 
 std::string dr_at_damage_label(double d) {
   return "DR@D=" + format_double(d, 0);
+}
+
+/// A threshold trained at the (1 - fp_budget) percentile of benign scores
+/// (Section 5.5 with tau = 1 - FP), plus the FP rate it realizes on the
+/// training samples.  The one trainer path of dr-sweep and density-sweep.
+struct ThresholdFit {
+  TrainingResult training;
+  double realized_fp;  ///< FP of the trained threshold on the training set
+
+  double threshold() const { return training.threshold; }
+};
+
+ThresholdFit fit_threshold(MetricKind metric,
+                           const std::vector<double>& benign_scores,
+                           double fp_budget) {
+  LAD_REQUIRE_MSG(fp_budget > 0 && fp_budget < 1, "FP budget must be in (0,1)");
+  ThresholdFit fit{train_threshold(metric, benign_scores, 1.0 - fp_budget),
+                   0.0};
+  fit.realized_fp = fraction_above(benign_scores, fit.training.threshold);
+  return fit;
+}
+
+/// The per-density pipeline configuration of the Fig. 9 sweep: density m
+/// with a seed decorrelated from the base seed.
+PipelineConfig density_pipeline_config(const PipelineConfig& base, int m) {
+  PipelineConfig cfg = base;
+  cfg.deploy.nodes_per_group = m;
+  // Decorrelate deployments across densities.
+  cfg.seed = base.seed + static_cast<std::uint64_t>(m) * 0x9E37ull;
+  return cfg;
 }
 
 /// The one deployed network the single-network kinds (correction, echo,
@@ -882,8 +911,8 @@ ScenarioResult ScenarioRunState::run_density(const ShardRange& shard) {
             if (!shard.contains(item)) continue;
             sched.add(item, [this, m, metric, cls, x, d, many_metrics,
                              many_attacks](ItemSink& sink) {
-              // Each density re-deploys with the decorrelated per-m seed the
-              // Fig. 9 sweep uses (density_pipeline_config).
+              // Each density re-deploys with its decorrelated per-m seed
+              // (density_pipeline_config).
               Pipeline& pipeline =
                   pipeline_for(density_pipeline_config(spec.pipeline, m));
               const std::string& localizer = spec.localizers.front();

@@ -11,6 +11,7 @@
 
 namespace lad {
 
+// lad-lint: allow(dead-public) -- the element type of RocCurve::points()
 struct RocPoint {
   double threshold;
   double false_positive_rate;

@@ -55,7 +55,7 @@ std::string format_double(double v) {
 }
 
 std::string run_git_rev() {
-  const std::string env = env_string("LAD_GIT_REV");
+  const std::string env = detail::env_string("LAD_GIT_REV");
   if (!env.empty()) return env;
 #if !defined(_WIN32)
   if (FILE* pipe = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {

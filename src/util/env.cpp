@@ -19,7 +19,7 @@ bool env_flag(const char* name) {
   return v != nullptr && *v != '\0';
 }
 
-std::string env_string(const char* name, const std::string& fallback) {
+std::string detail::env_string(const char* name, const std::string& fallback) {
   const char* v = env_raw(name);
   return v == nullptr || *v == '\0' ? fallback : std::string(v);
 }

@@ -17,8 +17,12 @@ namespace lad {
 /// unset or empty disables.
 bool env_flag(const char* name);
 
+namespace detail {
+
 /// The value of `name`, or `fallback` when unset or empty.
 std::string env_string(const char* name, const std::string& fallback = "");
+
+}  // namespace detail
 
 /// Integer knob: returns `fallback` when `name` is unset or empty;
 /// otherwise the value must parse as an integer in [min, max] or the

@@ -162,7 +162,7 @@ TEST(GridIndex, ClampedPointsAndOutOfBoundsQueriesWithFineCells) {
   EXPECT_EQ(got[0], 6u);  // (503, -9)
 }
 
-TEST(GridIndex, TemplatedVisitorAndFunctionShimAgree) {
+TEST(GridIndex, TemplatedVisitorMatchesQueryAndBruteForce) {
   Rng rng(21);
   const Aabb box = Aabb::square(100.0);
   const auto pts = random_points(400, box, rng);
@@ -173,13 +173,8 @@ TEST(GridIndex, TemplatedVisitorAndFunctionShimAgree) {
     std::vector<std::size_t> via_template;
     index.for_each_in_radius(
         q, r, [&](std::size_t i) { via_template.push_back(i); });
-    std::vector<std::size_t> via_shim;
-    const std::function<void(std::size_t)> fn = [&](std::size_t i) {
-      via_shim.push_back(i);
-    };
-    index.for_each_in_radius(q, r, fn);
     // Identical contents *and* identical visitation order.
-    EXPECT_EQ(via_template, via_shim);
+    EXPECT_EQ(via_template, index.query(q, r));
     auto want = brute_force_query(pts, q, r);
     std::sort(via_template.begin(), via_template.end());
     EXPECT_EQ(via_template, want);

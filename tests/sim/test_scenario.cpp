@@ -11,8 +11,8 @@
 #include "core/metric.h"
 #include "core/serialize.h"
 #include "core/trainer.h"
-#include "sim/experiment.h"
 #include "sim/pipeline.h"
+#include "stats/quantile.h"
 #include "util/assert.h"
 #include "util/csv.h"
 #include "util/flags.h"
@@ -278,17 +278,31 @@ TEST(ScenarioRunner, DrSweepMatchesTheDirectEntryPoint) {
             (std::vector<std::string>{"x", "D", "DR", "trained_FP",
                                       "threshold"}));
 
+  // Independent reference: train at the (1 - fp_budget) percentile of the
+  // benign scores, then score each (x, D) attack against that threshold.
   Pipeline pipeline(spec.pipeline);
   const LocalizerFactory factory =
       beaconless_mle_factory(pipeline.model(), pipeline.gz());
-  const auto points =
-      run_dr_sweep(pipeline, factory, MetricKind::kDiff,
-                   AttackClass::kDecBounded, spec.damages, spec.compromised,
-                   spec.fp_budget);
-  ASSERT_EQ(points.size(), 4u);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(table.cell(i, 2), format_double(points[i].detection_rate, 4));
-    EXPECT_EQ(table.cell(i, 4), format_double(points[i].threshold, 2));
+  const std::vector<double> benign =
+      pipeline.benign_scores(factory, {MetricKind::kDiff})
+          .at(MetricKind::kDiff);
+  const double threshold =
+      train_threshold(MetricKind::kDiff, benign, 1.0 - spec.fp_budget)
+          .threshold;
+  std::size_t row = 0;
+  for (double x : spec.compromised) {
+    for (double d : spec.damages) {
+      const std::vector<double> attack = pipeline.attack_scores(
+          {MetricKind::kDiff, AttackClass::kDecBounded, d, x});
+      EXPECT_EQ(table.cell(row, 0), format_double(x, 2));
+      EXPECT_EQ(table.cell(row, 1), format_double(d, 0));
+      EXPECT_EQ(table.cell(row, 2),
+                format_double(fraction_above(attack, threshold), 4));
+      EXPECT_EQ(table.cell(row, 3),
+                format_double(fraction_above(benign, threshold), 4));
+      EXPECT_EQ(table.cell(row, 4), format_double(threshold, 2));
+      ++row;
+    }
   }
 }
 

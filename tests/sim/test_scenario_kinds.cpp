@@ -255,36 +255,53 @@ struct QuickRun {
   std::vector<std::pair<std::string, std::string>> files;
 };
 
-// Runs a checked-in spec in quick mode at the given jobs count.
-QuickRun run_quick(const std::string& scn, int jobs) {
-  namespace fs = std::filesystem;
+// A checked-in spec in quick mode at the given jobs count.
+ScenarioSpec quick_spec(const std::string& scn, int jobs) {
   ScenarioSpec spec =
       ScenarioSpec::load(std::string(LAD_SCENARIO_DIR) + "/" + scn);
   ScenarioOverrides o;
   o.quick = true;
   spec = apply_overrides(spec, o);
   spec.jobs = jobs;
+  return spec;
+}
 
-  // The process id keeps the ctest legs of one spec (host default and
-  // pinned LAD_THREADS) apart when they run at once.
-  const fs::path dir = fs::path(testing::TempDir()) /
-                       ("lad_golden_" + spec.name + "_j" +
-                        std::to_string(jobs) + "_p" +
-                        std::to_string(::getpid()));
-  fs::remove_all(dir);
+// An empty temp directory for one leg of one spec.  The process id keeps
+// the ctest legs of one spec (host default and pinned LAD_THREADS) apart
+// when they run at once.
+std::filesystem::path fresh_dir(const std::string& tag) {
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) /
+      ("lad_golden_" + tag + "_p" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+// The files in `dir` as (name, body) pairs, sorted by name.
+std::vector<std::pair<std::string, std::string>> read_dir(
+    const std::filesystem::path& dir) {
+  std::vector<std::pair<std::string, std::string>> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.emplace_back(entry.path().filename().string(),
+                       read_file(entry.path()));
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+// Runs a checked-in spec in quick mode at the given jobs count.
+QuickRun run_quick(const std::string& scn, int jobs) {
+  const ScenarioSpec spec = quick_spec(scn, jobs);
+  const std::filesystem::path dir =
+      fresh_dir(spec.name + "_j" + std::to_string(jobs));
   ScenarioRunner runner(spec);
   QuickRun out;
   out.declared_ids = runner.table_ids();
   const ScenarioResult result = runner.run();
   for (const ResultTable& t : result.tables) out.emitted_ids.push_back(t.id);
   write_result_csvs(result, dir.string());
-
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    out.files.emplace_back(entry.path().filename().string(),
-                           read_file(entry.path()));
-  }
-  std::sort(out.files.begin(), out.files.end());
-  fs::remove_all(dir);
+  out.files = read_dir(dir);
+  std::filesystem::remove_all(dir);
   return out;
 }
 
@@ -304,6 +321,30 @@ TEST_P(ScenarioGoldens, QuickModeMatchesTheGoldenAcrossJobs) {
   }
   const QuickRun concurrent = run_quick(GetParam(), 4);
   EXPECT_EQ(sequential.files, concurrent.files);
+}
+
+// The same goldens from three shards (`lad_cli run --shard i/3`) written
+// separately and joined by the merge step (`lad_cli merge`).  Shards that
+// own no item still write header-only tables, so every spec has all
+// three shard directories.
+TEST_P(ScenarioGoldens, ThreeShardsMergeToTheGolden) {
+  const ScenarioSpec spec = quick_spec(GetParam(), 1);
+  const std::filesystem::path base = fresh_dir(spec.name + "_shards");
+  std::vector<std::string> shard_dirs;
+  for (int i = 0; i < 3; ++i) {
+    ScenarioRunner runner(spec);
+    shard_dirs.push_back((base / ("shard" + std::to_string(i))).string());
+    write_result_csvs(runner.run(ShardRange{i, 3}), shard_dirs.back());
+  }
+  const std::filesystem::path merged = base / "merged";
+  merge_result_csvs(shard_dirs, merged.string());
+
+  const auto files = read_dir(merged);
+  EXPECT_EQ(files.size(), ScenarioRunner(spec).table_ids().size());
+  for (const auto& [name, body] : files) {
+    test::expect_matches_golden(body, "scenario_goldens/" + name);
+  }
+  std::filesystem::remove_all(base);
 }
 
 const char* const kNewKindSpecs[] = {"tab_time_evolving.scn",

@@ -2,8 +2,8 @@
 # Exit-code and output contract of lad_lint, driven black-box against the
 # checked-in fixture trees:
 #
-#   0  clean tree (including findings downgraded by --warn-only)
-#   1  at least one enforced finding
+#   0  clean tree
+#   1  at least one finding
 #   2  broken invocation (unknown flag/rule, unreadable root)
 #
 # CI's lint job and scripts branch on the 1-vs-2 split, so it is pinned
@@ -27,29 +27,23 @@ expect() {
 pass="$fixtures/hygiene_pass"
 fail="$fixtures/hygiene_fail"
 
-# 0: clean tree (allowlist satisfies the one dead-public candidate).
-expect 0 "$lint" --root "$pass" --layers "$pass/layers.txt" \
-  --allowlist "$pass/public_api.allow"
-
-# 1: findings (same tree, allowlist withheld -> SpareApi is dead-public).
-expect 1 "$lint" --root "$pass" --layers "$pass/layers.txt"
+# 0: clean tree (an inline allow keeps the one dead-public candidate).
+expect 0 "$lint" --root "$pass" --layers "$pass/layers.txt"
 
 # 1: the hygiene fail tree fires all four tree rules.
 expect 1 "$lint" --root "$fail" --layers "$fail/layers.txt"
 
-# 0: --warn-only downgrades the only finding class to a warning.
-expect 0 "$lint" --root "$pass" --layers "$pass/layers.txt" \
-  --warn-only dead-public
-
 # 2: broken invocations, each with a named message on stderr.
 expect 2 "$lint" --no-such-flag
 expect 2 "$lint" --root /nonexistent/lad-lint-root
-expect 2 "$lint" --root "$pass" --layers "$pass/layers.txt" \
-  --warn-only no-such-rule
 expect 2 "$lint" --root "$pass" --layers /nonexistent/layers.txt
-expect 2 "$lint" --root "$pass" --layers "$pass/layers.txt" \
-  --allowlist /nonexistent/public_api.allow
 expect 2 "$lint" --root "$pass" --layers "$pass/layers.txt" --format bogus
+# The inline allow is the only suppression: there is no allowlist file and
+# no report-only mode, so these are unknown flags.
+expect 2 "$lint" --root "$pass" --layers "$pass/layers.txt" \
+  --allowlist "$pass/layers.txt"
+expect 2 "$lint" --root "$pass" --layers "$pass/layers.txt" \
+  --warn-only dead-public
 
 # --format=github rewrites findings as workflow annotations.
 github=$("$lint" --root "$fail" --layers "$fail/layers.txt" \

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>  // getpid
 
 #include "lint_core.h"
 #include "support/golden.h"
@@ -163,35 +167,42 @@ TEST(LadLint, HygieneFailTreeFiresEachTreeRule) {
   EXPECT_EQ(findings.size(), 4u) << dump();
 }
 
-TEST(LadLint, HygienePassTreeIsSilentWithAllowlist) {
-  Config cfg = fixture_config("hygiene_pass");
-  const std::string err =
-      load_public_allowlist(cfg.root + "/public_api.allow", cfg);
-  ASSERT_EQ(err, "");
+TEST(LadLint, HygienePassTreeIsSilent) {
+  const Config cfg = fixture_config("hygiene_pass");
   const std::vector<Finding> findings = lint_tree(cfg);
   EXPECT_TRUE(findings.empty()) << format_finding(findings.front());
 }
 
-TEST(LadLint, AllowlistIsWhatKeepsSpareApiAlive) {
-  // Without the allowlist the pass tree has exactly one finding: the
-  // deliberately-dead SpareApi.  This pins that the allowlist entry is
-  // load-bearing, not redundant.
-  const Config cfg = fixture_config("hygiene_pass");
+TEST(LadLint, InlineAllowIsWhatKeepsSpareApiAlive) {
+  // A copy of the pass tree with SpareApi's allow(dead-public) comment
+  // removed has exactly one finding: the deliberately-dead SpareApi.  This
+  // pins that the inline allow is load-bearing, not redundant.
+  namespace fs = std::filesystem;
+  Config cfg = fixture_config("hygiene_pass");
+  const fs::path copy = fs::path(testing::TempDir()) /
+                        ("lad_lint_spare_" + std::to_string(::getpid()));
+  fs::remove_all(copy);
+  fs::copy(cfg.root, copy, fs::copy_options::recursive);
+  const fs::path spare = copy / "src/util/spare.h";
+  std::string kept;
+  {
+    std::ifstream in(spare);
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.find("allow(dead-public)") == std::string::npos) {
+        kept += line + "\n";
+      }
+    }
+  }
+  std::ofstream(spare) << kept;
+  cfg.root = copy.string();
+
   const std::vector<Finding> findings = lint_tree(cfg);
+  fs::remove_all(copy);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].file, "src/util/spare.h");
   EXPECT_EQ(findings[0].rule, "dead-public");
   EXPECT_NE(findings[0].message.find("SpareApi"), std::string::npos);
-}
-
-TEST(LadLint, WarnOnlyDowngradesExactlyThatRule) {
-  Config cfg = fixture_config("hygiene_fail");
-  cfg.warn_only.insert("dead-public");
-  const std::vector<Finding> findings = lint_tree(cfg);
-  ASSERT_EQ(findings.size(), 4u);
-  for (const Finding& f : findings) {
-    EXPECT_EQ(f.warning, f.rule == "dead-public") << format_finding(f);
-  }
 }
 
 TEST(LadLint, IncludeReportListsHeadersByTransitiveWeight) {

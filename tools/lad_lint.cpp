@@ -1,23 +1,22 @@
 // Project-invariant static analyzer (see lint_core.h for the rule
 // catalog and docs/STATIC_ANALYSIS.md for the why behind each rule).
 //
-//   usage: lad_lint [--root DIR] [--layers FILE] [--allowlist FILE]
-//                   [--warn-only RULE] [--format plain|github]
+//   usage: lad_lint [--root DIR] [--layers FILE] [--format plain|github]
 //                   [--include-report] [--list-rules] [dir ...]
 //
 // Walks src/ bench/ tools/ examples/ cmake/ tests/ under --root (default:
 // the current directory), prints one `file:line: rule: message` diagnostic
 // per finding, and exits:
 //
-//   0  clean (warn-only findings may still have been printed)
-//   1  at least one enforced finding
+//   0  clean
+//   1  at least one finding (every rule is enforced; the only way to
+//      suppress one is an inline `allow(<rule>) -- why` comment)
 //   2  broken invocation: unknown flag, missing flag value, unreadable
-//      root/layers/allowlist, or an unreadable source file
+//      root/layers, or an unreadable source file
 //
 // CI and scripts rely on the 1-vs-2 split to tell a dirty tree from a
 // misconfigured run.  Runs as ctest `smoke.lint` so the gate is
 // local-first, not CI-only.
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -41,7 +40,6 @@ int usage_error(const std::string& message) {
 int main(int argc, char** argv) {
   lad::lint::Config cfg;
   std::string layers_file;
-  std::string allowlist_file;
   std::string format = "plain";
   bool include_report = false;
   std::vector<std::string> dirs;
@@ -60,19 +58,6 @@ int main(int argc, char** argv) {
       const char* v = value("--layers");
       if (v == nullptr) return usage_error("--layers requires a value");
       layers_file = v;
-    } else if (arg == "--allowlist") {
-      const char* v = value("--allowlist");
-      if (v == nullptr) return usage_error("--allowlist requires a value");
-      allowlist_file = v;
-    } else if (arg == "--warn-only") {
-      const char* v = value("--warn-only");
-      if (v == nullptr) return usage_error("--warn-only requires a rule name");
-      const auto& known = lad::lint::rule_names();
-      if (std::find(known.begin(), known.end(), v) == known.end()) {
-        return usage_error("--warn-only names an unknown rule: " +
-                           std::string(v));
-      }
-      cfg.warn_only.insert(v);
     } else if (arg == "--format") {
       const char* v = value("--format");
       if (v == nullptr) return usage_error("--format requires a value");
@@ -96,9 +81,9 @@ int main(int argc, char** argv) {
       return kExitClean;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: lad_lint [--root DIR] [--layers FILE] [--allowlist FILE]\n"
-          "                [--warn-only RULE] [--format plain|github]\n"
-          "                [--include-report] [--list-rules] [dir ...]\n"
+          "usage: lad_lint [--root DIR] [--layers FILE]\n"
+          "                [--format plain|github] [--include-report]\n"
+          "                [--list-rules] [dir ...]\n"
           "exit codes: 0 clean, 1 findings, 2 usage/IO error\n");
       return kExitClean;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -121,28 +106,11 @@ int main(int argc, char** argv) {
       !err.empty()) {
     return usage_error(err);
   }
-  // The allowlist is optional at its default location (a tree without a
-  // curated API surface simply has none), but naming one explicitly that
-  // cannot be read is a broken invocation.
-  if (allowlist_file.empty()) {
-    const std::string candidate =
-        cfg.root + "/tools/lint_rules/public_api.allow";
-    if (std::filesystem::exists(candidate, ec)) allowlist_file = candidate;
-  }
-  if (!allowlist_file.empty()) {
-    if (const std::string err =
-            lad::lint::load_public_allowlist(allowlist_file, cfg);
-        !err.empty()) {
-      return usage_error(err);
-    }
-  }
 
   std::string report;
   const std::vector<lad::lint::Finding> findings =
       lad::lint::lint_tree(cfg, include_report ? &report : nullptr);
 
-  std::size_t enforced = 0;
-  std::size_t warnings = 0;
   for (const lad::lint::Finding& f : findings) {
     if (f.rule == "io-error") {
       return usage_error("cannot read " + f.file);
@@ -151,24 +119,18 @@ int main(int argc, char** argv) {
                                  ? lad::lint::format_finding_github(f)
                                  : lad::lint::format_finding(f);
     std::fprintf(stderr, "%s\n", line.c_str());
-    if (f.warning) {
-      ++warnings;
-    } else {
-      ++enforced;
-    }
   }
 
   if (include_report) std::printf("%s", report.c_str());
 
-  if (enforced == 0) {
-    std::printf("lad_lint: clean (%zu rules, root %s%s)\n",
-                lad::lint::rule_names().size(), cfg.root.c_str(),
-                warnings != 0 ? ", warn-only findings above" : "");
+  if (findings.empty()) {
+    std::printf("lad_lint: clean (%zu rules, root %s)\n",
+                lad::lint::rule_names().size(), cfg.root.c_str());
     return kExitClean;
   }
   std::fprintf(stderr,
                "lad_lint: %zu finding(s).  Fix, or suppress a justified "
                "exception with `// lad-lint: allow(<rule>) -- <why>`.\n",
-               enforced);
+               findings.size());
   return kExitFindings;
 }

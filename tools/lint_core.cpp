@@ -227,7 +227,7 @@ void parse_allow(const std::string& comment, const std::string& file, int line,
     pos = open;
     if (close == std::string::npos) {
       out.push_back({file, line, "allow-syntax",
-                     "unclosed lad-lint: allow(...) comment", false});
+                     "unclosed lad-lint: allow(...) comment"});
       return;
     }
     std::vector<std::string> rules;
@@ -242,22 +242,20 @@ void parse_allow(const std::string& comment, const std::string& file, int line,
         starts_with(rest, "--") && !trim_copy(rest.substr(2)).empty();
     if (rules.empty()) {
       out.push_back({file, line, "allow-syntax",
-                     "lad-lint: allow() names no rule", false});
+                     "lad-lint: allow() names no rule"});
     }
     for (const std::string& rule : rules) {
       const auto& known = rule_names();
       if (std::find(known.begin(), known.end(), rule) == known.end()) {
         out.push_back({file, line, "allow-syntax",
-                       "lad-lint: allow(" + rule + ") names an unknown rule",
-                       false});
+                       "lad-lint: allow(" + rule + ") names an unknown rule"});
         continue;
       }
       if (!justified) {
         out.push_back(
             {file, line, "allow-syntax",
              "lad-lint: allow(" + rule +
-                 ") needs a justification: `allow(" + rule + ") -- why`",
-             false});
+                 ") needs a justification: `allow(" + rule + ") -- why`"});
         continue;
       }
       allowed.insert(rule);
@@ -333,7 +331,7 @@ void lint_code_line(const FileContext& ctx, const std::string& code, int line,
                     std::vector<Finding>& out) {
   const auto emit = [&](const std::string& rule, const std::string& msg) {
     if (allowed.count(rule) == 0) {
-      out.push_back({ctx.rel_path, line, rule, msg, false});
+      out.push_back({ctx.rel_path, line, rule, msg});
     }
   };
 
@@ -476,8 +474,7 @@ std::vector<Finding> lint_scanned(const Config& cfg, const ScannedFile& scan,
         if (!reported_undeclared && allowed.count("layer-dag") == 0) {
           out.push_back({scan.rel_path, inc.line, "layer-dag",
                          "layer `" + ctx.layer +
-                             "` is not declared in layers.txt",
-                         false});
+                             "` is not declared in layers.txt"});
           reported_undeclared = true;
         }
       } else if (target != ctx.layer && deps != nullptr) {
@@ -488,8 +485,7 @@ std::vector<Finding> lint_scanned(const Config& cfg, const ScannedFile& scan,
           for (const std::string& d : *deps) allow_list += " " + d;
           out.push_back({scan.rel_path, inc.line, "layer-dag",
                          "src/" + ctx.layer + "/ may not include \"" +
-                             inc.path + "\" (allowed: " + allow_list + ")",
-                         false});
+                             inc.path + "\" (allowed: " + allow_list + ")"});
         }
       }
     }
@@ -555,30 +551,6 @@ std::string load_layer_rules(const std::string& path, Config& cfg) {
                dep + "`";
       }
     }
-  }
-  return "";
-}
-
-std::string load_public_allowlist(const std::string& path, Config& cfg) {
-  std::ifstream in(path);
-  if (!in.good()) return "cannot read public-API allowlist: " + path;
-  cfg.dead_public_allow.clear();
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    line = trim_copy(line);
-    if (line.empty()) continue;
-    std::istringstream words(line);
-    std::string name, extra;
-    words >> name;
-    if (words >> extra) {
-      return path + ":" + std::to_string(lineno) +
-             ": expected one symbol name per line";
-    }
-    cfg.dead_public_allow.insert(name);
   }
   return "";
 }
@@ -666,7 +638,7 @@ std::vector<Finding> lint_tree(const Config& cfg, std::string* report) {
   for (const std::string& rel : files) {
     std::ifstream in(root / rel, std::ios::binary);
     if (!in.good()) {
-      out.push_back({rel, 0, "io-error", "cannot read file", false});
+      out.push_back({rel, 0, "io-error", "cannot read file"});
       continue;
     }
     std::ostringstream buf;
@@ -681,7 +653,7 @@ std::vector<Finding> lint_tree(const Config& cfg, std::string* report) {
 
   // Pass 2: include graph + symbol index rules.
   const TreeIndex index = TreeIndex::build(cfg, contents);
-  std::vector<Finding> tree_findings = index.run_rules(cfg);
+  std::vector<Finding> tree_findings = index.run_rules();
   out.insert(out.end(), tree_findings.begin(), tree_findings.end());
   if (report != nullptr) *report = index.include_report();
 
@@ -690,10 +662,6 @@ std::vector<Finding> lint_tree(const Config& cfg, std::string* report) {
                      return std::tie(a.file, a.line, a.rule) <
                             std::tie(b.file, b.line, b.rule);
                    });
-
-  for (Finding& f : out) {
-    if (cfg.warn_only.count(f.rule) != 0) f.warning = true;
-  }
   return out;
 }
 
@@ -703,8 +671,7 @@ std::string format_finding(const Finding& f) {
 }
 
 std::string format_finding_github(const Finding& f) {
-  const char* const level = f.warning ? "::warning" : "::error";
-  return std::string(level) + " file=" + f.file +
+  return "::error file=" + f.file +
          ",line=" + std::to_string(f.line) + "::" + f.rule + ": " + f.message;
 }
 

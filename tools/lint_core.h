@@ -48,8 +48,8 @@
 // without one is itself a finding.  (Spelled indirectly here so the
 // analyzer does not read its own documentation as a suppression.)
 // Include lines additionally honor the standard `IWYU pragma: keep` /
-// `IWYU pragma: export` annotations, and dead-public has a checked-in
-// allowlist (tools/lint_rules/public_api.allow) for intentional API.
+// `IWYU pragma: export` annotations.  There is no other suppression
+// mechanism: no allowlist file and no report-only mode.
 #pragma once
 
 #include <map>
@@ -64,9 +64,6 @@ struct Finding {
   int line = 0;      // 1-based
   std::string rule;
   std::string message;
-  // True when the rule is on the Config::warn_only list: still reported,
-  // but a warn-only finding must not fail the build.
-  bool warning = false;
 };
 
 struct Config {
@@ -79,12 +76,6 @@ struct Config {
   // Layer dependency DAG: layer -> layers it may include from (its own
   // name is always allowed implicitly).  Loaded from layers.txt.
   std::map<std::string, std::vector<std::string>> layer_deps;
-  // Rules demoted to report-only: findings carry warning=true and the
-  // CLI does not count them toward the exit code.
-  std::set<std::string> warn_only;
-  // Symbol names that are intentional public API surface; dead-public
-  // never fires on them.  Loaded from public_api.allow.
-  std::set<std::string> dead_public_allow;
 };
 
 /// One quoted #include directive as seen in a file.
@@ -119,10 +110,6 @@ const std::vector<std::string>& rule_names();
 /// malformed line.
 std::string load_layer_rules(const std::string& path, Config& cfg);
 
-/// Parses a public_api.allow (one symbol per line, '#' comments) into
-/// cfg.dead_public_allow.  Returns "" on success or an error message.
-std::string load_public_allowlist(const std::string& path, Config& cfg);
-
 /// Runs the comment/string scanner over one file body.  `cmake` swaps
 /// the comment grammar (# to end of line, no block comments).
 ScannedFile scan_file(const std::string& rel_path, const std::string& content,
@@ -148,8 +135,7 @@ std::vector<Finding> lint_tree(const Config& cfg, std::string* report);
 std::string format_finding(const Finding& f);
 
 /// GitHub Actions workflow-annotation form:
-/// "::error file=<file>,line=<line>::<rule>: <message>" (::warning for
-/// warn-only findings).
+/// "::error file=<file>,line=<line>::<rule>: <message>".
 std::string format_finding_github(const Finding& f);
 
 }  // namespace lad::lint

@@ -514,7 +514,7 @@ std::set<std::string> TreeIndex::closure_of(const std::string& rel_path) const {
   return seen;
 }
 
-std::vector<Finding> TreeIndex::run_rules(const Config& cfg) const {
+std::vector<Finding> TreeIndex::run_rules() const {
   std::vector<Finding> out;
 
   // --- include-cycle ----------------------------------------------------
@@ -552,7 +552,7 @@ std::vector<Finding> TreeIndex::run_rules(const Config& cfg) const {
           for (auto it = from + 1; it != path.end(); ++it) chain += " -> " + *it;
           chain += " -> " + target;
           out.push_back({fr.file, inc.line, "include-cycle",
-                         "include cycle: " + chain, false});
+                         "include cycle: " + chain});
           continue;
         }
         if (color[target] == 0) {
@@ -593,8 +593,7 @@ std::vector<Finding> TreeIndex::run_rules(const Config& cfg) const {
                std::to_string(ex->second.size()) +
                " exported symbols are referenced here; drop the include "
                "(or annotate `// IWYU pragma: keep` if it is re-exported "
-               "or needed for side effects)",
-           false});
+               "or needed for side effects)"});
     }
   }
 
@@ -642,8 +641,7 @@ std::vector<Finding> TreeIndex::run_rules(const Config& cfg) const {
                      "uses `" + use.second + "` from \"" + hdr +
                          "\", which only arrives transitively; include it "
                          "directly so refactors of intermediate headers "
-                         "cannot break this TU",
-                     false});
+                         "cannot break this TU"});
     }
   }
 
@@ -658,7 +656,6 @@ std::vector<Finding> TreeIndex::run_rules(const Config& cfg) const {
           (s.kind == Symbol::Kind::kType && s.definition) ||
           s.kind == Symbol::Kind::kFunction || s.kind == Symbol::Kind::kMacro;
       if (!candidate) continue;
-      if (cfg.dead_public_allow.count(s.name) != 0) continue;
       if (allows_on(f.scan, s.line).count("dead-public") != 0) continue;
       bool alive = false;
       for (const auto& [other_rel, other] : files) {
@@ -672,9 +669,8 @@ std::vector<Finding> TreeIndex::run_rules(const Config& cfg) const {
       out.push_back({rel, s.line, "dead-public",
                      "public symbol `" + s.name +
                          "` is referenced by no TU outside " + layer_dir +
-                         " and no test; remove it or add it to "
-                         "tools/lint_rules/public_api.allow",
-                     false});
+                         " and no test; remove it, or justify it with "
+                         "`// lad-lint: allow(dead-public) -- why`"});
     }
   }
 

@@ -66,9 +66,9 @@ struct TreeIndex {
   static TreeIndex build(const Config& cfg,
                          const std::map<std::string, std::string>& contents);
 
-  /// Runs the four tree rules; findings honor the per-line allow map,
-  /// IWYU pragmas, and cfg.dead_public_allow / cfg.warn_only.
-  std::vector<Finding> run_rules(const Config& cfg) const;
+  /// Runs the four tree rules; findings honor the per-line allow map and
+  /// IWYU pragmas.
+  std::vector<Finding> run_rules() const;
 
   /// Human-readable depth/fan-in report over project headers.
   std::string include_report() const;

@@ -251,15 +251,35 @@ void Pipeline::draw_attack_victims(const AttackSpec& spec,
 
 std::vector<double> Pipeline::attack_scores(const AttackSpec& spec,
                                             std::vector<int>* victim_groups) {
+  return std::move(attack_pass(spec, {spec.metric}, victim_groups).front());
+}
+
+std::map<MetricKind, std::vector<double>> Pipeline::attack_scores_cross(
+    const AttackSpec& spec, const std::vector<MetricKind>& scorers) {
+  LAD_REQUIRE_MSG(!scorers.empty(), "need at least one scoring metric");
+  std::vector<std::vector<double>> scores =
+      attack_pass(spec, scorers, nullptr);
+  std::map<MetricKind, std::vector<double>> out;
+  for (std::size_t si = 0; si < scorers.size(); ++si) {
+    out[scorers[si]] = std::move(scores[si]);
+  }
+  return out;
+}
+
+std::vector<std::vector<double>> Pipeline::attack_pass(
+    const AttackSpec& spec, const std::vector<MetricKind>& scorers,
+    std::vector<int>* victim_groups) {
   LAD_REQUIRE_MSG(spec.damage >= 0, "damage must be non-negative");
   LAD_REQUIRE_MSG(spec.compromised_frac >= 0 && spec.compromised_frac <= 1,
                   "compromised fraction must be in [0,1]");
   const std::size_t nnet = networks_.size();
   const std::size_t k = static_cast<std::size_t>(config_.victims_per_network);
   const int m = config_.deploy.nodes_per_group;
-  const std::unique_ptr<Metric> metric = make_metric(spec.metric);
 
-  std::vector<double> scores(nnet * k, 0.0);
+  std::vector<std::unique_ptr<Metric>> scorer_impls;
+  for (MetricKind kind : scorers) scorer_impls.push_back(make_metric(kind));
+  std::vector<std::vector<double>> scores(
+      scorers.size(), std::vector<double>(nnet * k, 0.0));
   if (victim_groups != nullptr) victim_groups->assign(nnet * k, 0);
 
   std::vector<std::size_t> victims;
@@ -284,7 +304,10 @@ std::vector<double> Pipeline::attack_scores(const AttackSpec& spec,
               std::lround(spec.compromised_frac * a.total()));
           const TaintResult taint =
               greedy_taint(a, mu, m, spec.metric, spec.attack_class, budget);
-          scores[ni * k + v] = metric->score(taint.tainted, mu, m);
+          for (std::size_t si = 0; si < scorer_impls.size(); ++si) {
+            scores[si][ni * k + v] =
+                scorer_impls[si]->score(taint.tainted, mu, m);
+          }
           if (victim_groups != nullptr) {
             (*victim_groups)[ni * k + v] =
                 model_.nearest_group(net.position(victims[ni * k + v]));
@@ -292,52 +315,6 @@ std::vector<double> Pipeline::attack_scores(const AttackSpec& spec,
         }
       });
   return scores;
-}
-
-std::map<MetricKind, std::vector<double>> Pipeline::attack_scores_cross(
-    const AttackSpec& spec, const std::vector<MetricKind>& scorers) {
-  LAD_REQUIRE_MSG(!scorers.empty(), "need at least one scoring metric");
-  const std::size_t nnet = networks_.size();
-  const std::size_t k = static_cast<std::size_t>(config_.victims_per_network);
-  const int m = config_.deploy.nodes_per_group;
-
-  std::vector<std::unique_ptr<Metric>> scorer_impls;
-  for (MetricKind kind : scorers) scorer_impls.push_back(make_metric(kind));
-  std::vector<std::vector<double>> scores(
-      scorers.size(), std::vector<double>(nnet * k, 0.0));
-
-  std::vector<std::size_t> victims;
-  std::vector<Vec2> les;
-  draw_attack_victims(spec, victims, les);
-
-  for_each_victim_span(
-      nnet, k, config_.threads,
-      [&](std::size_t ni, std::size_t v_lo, std::size_t v_hi) {
-        const Network& net = *networks_[ni];
-        ObservationBatch batch;
-        net.observe_many(std::span<const std::size_t>(
-                             victims.data() + ni * k + v_lo, v_hi - v_lo),
-                         batch);
-        for (std::size_t v = v_lo; v < v_hi; ++v) {
-          const Observation a = batch.to_observation(v - v_lo);
-          const ExpectedObservation mu =
-              model_.expected_observation(les[ni * k + v], gz_);
-          const int budget = static_cast<int>(
-              std::lround(spec.compromised_frac * a.total()));
-          const TaintResult taint =
-              greedy_taint(a, mu, m, spec.metric, spec.attack_class, budget);
-          for (std::size_t si = 0; si < scorer_impls.size(); ++si) {
-            scores[si][ni * k + v] =
-                scorer_impls[si]->score(taint.tainted, mu, m);
-          }
-        }
-      });
-
-  std::map<MetricKind, std::vector<double>> out;
-  for (std::size_t si = 0; si < scorers.size(); ++si) {
-    out[scorers[si]] = std::move(scores[si]);
-  }
-  return out;
 }
 
 DetectorBundle Pipeline::train_bundle(const LocalizerFactory& factory,

@@ -157,6 +157,13 @@ class Pipeline {
   std::vector<std::unique_ptr<Localizer>> benign_localizers(
       const LocalizerFactory& factory, std::vector<std::size_t>& victims);
 
+  /// The one attack pass behind attack_scores and attack_scores_cross:
+  /// the taint minimizes spec.metric, and each tainted observation is
+  /// scored by every metric in `scorers` (one index-aligned vector each).
+  std::vector<std::vector<double>> attack_pass(
+      const AttackSpec& spec, const std::vector<MetricKind>& scorers,
+      std::vector<int>* victim_groups);
+
   /// The attack passes' sequential rng phase: victim and planted-Le draws
   /// in the historical per-network order.
   void draw_attack_victims(const AttackSpec& spec,

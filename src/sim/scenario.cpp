@@ -246,8 +246,15 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
     LAD_REQUIRE_MSG(!spec.attacks.empty(), "sweep list 'attacks' is empty");
     spec.damages = s->get_double_list("damages", spec.damages);
     require_non_empty(spec.damages, "damages");
+    for (double d : spec.damages) {
+      LAD_REQUIRE_MSG(d >= 0, "[sweep] damages must be >= 0, got " << d);
+    }
     spec.compromised = s->get_double_list("compromised", spec.compromised);
     require_non_empty(spec.compromised, "compromised");
+    for (double x : spec.compromised) {
+      LAD_REQUIRE_MSG(x >= 0 && x <= 1,
+                      "[sweep] compromised must be in [0,1], got " << x);
+    }
     spec.densities = to_int_vector(s->get_int_list("densities", {}));
     spec.actual_sigmas = s->get_double_list("actual_sigmas", spec.actual_sigmas);
     require_non_empty(spec.actual_sigmas, "actual_sigmas");

@@ -502,6 +502,9 @@ ScnMutation mutate_scn(const std::string& valid, Rng& rng,
         {"run", "jobs", "jobs = 0", "jobs"},
         {"pipeline", "m", "m = -3", "m"},
         {"pipeline", "sigma", "sigma = 0", "sigma"},
+        {"sweep", "compromised", "compromised = 1.5", "compromised"},
+        {"sweep", "compromised", "compromised = -0.2", "compromised"},
+        {"sweep", "damages", "damages = -40", "damages"},
     };
     const Choice& c = pick(rng, choices);
     m.needle = c.needle;

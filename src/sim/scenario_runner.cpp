@@ -1,11 +1,12 @@
 // The experiment-kind table (sim/kind_table.h) and the ScenarioRunner that
-// executes it: each kind's row names its section, the axes and keys it
-// accepts, its item count, its table ids and its run function, which
-// expands the spec's cartesian product into an ordered work-item list and
-// executes it (or one shard of it) through Pipeline.
+// executes it: each kind's row names its section, the keys it accepts, its
+// sweep axes (grid kinds) or item count (bespoke kinds), its table ids and
+// its run function, which executes the expansion (or one shard of it)
+// through Pipeline.
 //
-// Work-item ids are assigned by iterating the expansion in a fixed order,
-// so ids are identical in every shard of the same spec.  All randomness is
+// Work-item ids are assigned by iterating the expansion in a fixed order
+// (a grid kind's ids decode mixed-radix over its axis list), so ids are
+// identical in every shard of the same spec.  All randomness is
 // keyed from the spec's seed (Philox-style sub-streams inside Pipeline;
 // explicit per-item seeds in the bespoke kinds), never from execution
 // order, which is what makes shard output placement-independent.
@@ -24,6 +25,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include "attack/adversary.h"
 #include "attack/displacement.h"
@@ -275,7 +277,7 @@ struct ScenarioRunState {
   /// header-only tables without building any shared state.
   bool shard_is_empty(const ShardRange& shard) const {
     return static_cast<long long>(shard.index) >=
-           kind_spec(spec.kind).items(spec);
+           kind_spec(spec.kind).num_items(spec);
   }
 
   PipelineConfig group_config(DeploymentShape shape, double actual_sigma,
@@ -365,6 +367,41 @@ struct ScenarioRunState {
     });
   }
 
+  /// Starts a row of result table t that already carries the cell's dim
+  /// prefix.
+  using NewRow = std::function<Table&(std::size_t table)>;
+  /// A grid kind's body: one work item's rows for its decoded cell.
+  using GridBody =
+      std::function<void(const GridCell& cell, const NewRow& new_row)>;
+
+  /// The one shard walk of the grid kinds: result tables whose columns are
+  /// the kind's dim columns followed by each table's own `tails`, and one
+  /// work item per owned id running `body` on the decoded cell.
+  ScenarioResult run_grid(const ShardRange& shard,
+                          const std::vector<std::vector<std::string>>& tails,
+                          const GridBody& body) {
+    const KindSpec& kind = kind_spec(spec.kind);
+    const std::vector<std::string> dims = kind.dim_columns(spec);
+    std::vector<std::vector<std::string>> columns;
+    for (const std::vector<std::string>& tail : tails) {
+      columns.push_back(dims);
+      columns.back().insert(columns.back().end(), tail.begin(), tail.end());
+    }
+    ScenarioResult result = new_result(std::move(columns));
+    ItemScheduler sched(result, spec.jobs);
+    kind.for_each_cell(spec, shard, [&](long long item, const GridCell& cell) {
+      sched.add(item, [this, &kind, &body, cell](ItemSink& sink) {
+        body(cell, [&](std::size_t table) -> Table& {
+          Table& row = sink.row(table);
+          kind.add_dims(spec, cell, row);
+          return row;
+        });
+      });
+    });
+    sched.run();
+    return result;
+  }
+
   // --- per-kind execution (one per KindSpec row) ------------------------
   ScenarioResult run_roc(const ShardRange& shard);
   ScenarioResult run_dr(const ShardRange& shard);
@@ -452,12 +489,94 @@ void parse_coop(const KvConfig::Section& c, ScenarioSpec& spec) {
 
 using Ids = std::vector<std::string>;
 
-/// The axes of the paper's metric x attack x x x D grid.
-constexpr unsigned kGridAxes =
-    kMultiMetrics | kMultiAttacks | kMultiDamages | kMultiCompromised;
-/// The deployment / localizer axes only dr-sweep expands.
-constexpr unsigned kDeploymentAxes =
-    kMultiShapes | kMultiLocalizers | kMultiActualSigmas | kMultiJitters;
+// --- the grid kinds' sweep axes -----------------------------------------
+
+using detail::GridAxis;
+
+/// Whether an axis's column appears always or only while it is swept.
+enum class Shown { kAlways, kWhenSwept };
+
+/// A [sweep] list axis: value i sets `cell.*Field = (spec.*List)[i]`, and
+/// its one column `name` prints the value with `print`.
+template <auto List, auto Field>
+GridAxis list_axis(unsigned bits, const char* name, Shown shown,
+                   void (*print)(const GridCell&, Table&)) {
+  const auto size = [](const ScenarioSpec& s) { return (s.*List).size(); };
+  return {bits, size,
+          [](const ScenarioSpec& s, std::size_t i, GridCell& c) {
+            c.*Field = (s.*List)[i];
+          },
+          {{name, shown == Shown::kAlways ? nullptr : +size, print}}};
+}
+
+GridAxis mode_axis() {
+  return list_axis<&ScenarioSpec::group_threshold_modes, &GridCell::mode>(
+      kKeyGroupThresholds, "group_mode", Shown::kWhenSwept,
+      [](const GridCell& c, Table& t) {
+        t.add(group_threshold_mode_name(c.mode));
+      });
+}
+
+/// The (actual_sigma, jitter) pairs of mismatch_pairs: one axis in either
+/// coupling, whose two columns are each gated on their own list.
+GridAxis mismatch_axis() {
+  return {kMultiActualSigmas | kMultiJitters,
+          [](const ScenarioSpec& s) { return mismatch_pairs(s).size(); },
+          [](const ScenarioSpec& s, std::size_t i, GridCell& c) {
+            std::tie(c.actual_sigma, c.jitter) = mismatch_pairs(s)[i];
+          },
+          {{"actual_sigma",
+            [](const ScenarioSpec& s) { return s.actual_sigmas.size(); },
+            [](const GridCell& c, Table& t) { t.add(c.actual_sigma, 1); }},
+           {"jitter", [](const ScenarioSpec& s) { return s.jitters.size(); },
+            [](const GridCell& c, Table& t) { t.add(c.jitter, 1); }}}};
+}
+
+GridAxis shape_axis() {
+  return list_axis<&ScenarioSpec::shapes, &GridCell::shape>(
+      kMultiShapes, "shape", Shown::kWhenSwept,
+      [](const GridCell& c, Table& t) {
+        t.add(deployment_shape_name(c.shape));
+      });
+}
+
+GridAxis localizer_axis() {
+  return list_axis<&ScenarioSpec::localizers, &GridCell::localizer>(
+      kMultiLocalizers, "localizer", Shown::kWhenSwept,
+      [](const GridCell& c, Table& t) { t.add(c.localizer); });
+}
+
+GridAxis density_axis() {
+  return list_axis<&ScenarioSpec::densities, &GridCell::m>(
+      kKeyDensities, "m", Shown::kAlways,
+      [](const GridCell& c, Table& t) { t.add(c.m); });
+}
+
+GridAxis metric_axis() {
+  return list_axis<&ScenarioSpec::metrics, &GridCell::metric>(
+      kMultiMetrics, "metric", Shown::kWhenSwept,
+      [](const GridCell& c, Table& t) { t.add(metric_name(c.metric)); });
+}
+
+GridAxis attack_axis() {
+  return list_axis<&ScenarioSpec::attacks, &GridCell::attack>(
+      kMultiAttacks, "attack", Shown::kWhenSwept,
+      [](const GridCell& c, Table& t) {
+        t.add(attack_class_name(c.attack));
+      });
+}
+
+GridAxis compromised_axis(Shown shown) {
+  return list_axis<&ScenarioSpec::compromised, &GridCell::x>(
+      kMultiCompromised, "x", shown,
+      [](const GridCell& c, Table& t) { t.add(c.x, 2); });
+}
+
+GridAxis damage_axis() {
+  return list_axis<&ScenarioSpec::damages, &GridCell::d>(
+      kMultiDamages, "D", Shown::kAlways,
+      [](const GridCell& c, Table& t) { t.add(c.d, 0); });
+}
 
 }  // namespace
 
@@ -467,45 +586,41 @@ const std::vector<KindSpec>& kind_table() {
   using S = ScenarioRunState;
   using Spec = ScenarioSpec;
   // Row: kind, name, own section, accepted, section parser, section keys
-  // (fuzz domains: key, lo, hi, decimals, max values, chance), items,
-  // table ids, run.
+  // (fuzz domains: key, lo, hi, decimals, max values, chance), sweep axes
+  // (grid kinds) or items (bespoke kinds), table ids, run.  The axis order
+  // is the item order and the dim-column order the goldens pin: roc puts D
+  // before x, dr-sweep and density-sweep x before D.
   static const std::vector<KindSpec> table = {
-      {ExperimentKind::kRoc, "roc", "", kGridAxes, nullptr, {},
-       [](const Spec& s) {
-         return len(s.metrics) * len(s.attacks) * len(s.damages) *
-                len(s.compromised);
-       },
+      {ExperimentKind::kRoc, "roc", "", 0, nullptr, {},
+       {metric_axis(), attack_axis(), damage_axis(),
+        compromised_axis(Shown::kWhenSwept)},
+       nullptr,
        [](const Spec& s) {
          return s.curve_points > 0 ? Ids{"summary", "curves"}
                                    : Ids{"summary"};
        },
        &S::run_roc},
-      {ExperimentKind::kDrSweep, "dr-sweep", "",
-       kGridAxes | kDeploymentAxes | kKeyGroupThresholds, nullptr, {},
-       [](const Spec& s) {
-         return len(s.group_threshold_modes) * len(mismatch_pairs(s)) *
-                len(s.shapes) * len(s.localizers) * len(s.metrics) *
-                len(s.attacks) * len(s.compromised) * len(s.damages);
-       },
-       [](const Spec&) { return Ids{"dr"}; }, &S::run_dr},
-      {ExperimentKind::kDensitySweep, "density-sweep", "",
-       kGridAxes | kKeyDensities, nullptr, {},
-       [](const Spec& s) {
-         return len(s.densities) * len(s.metrics) * len(s.attacks) *
-                len(s.compromised) * len(s.damages);
-       },
-       [](const Spec&) { return Ids{"density"}; }, &S::run_density},
+      {ExperimentKind::kDrSweep, "dr-sweep", "", 0, nullptr, {},
+       {mode_axis(), mismatch_axis(), shape_axis(), localizer_axis(),
+        metric_axis(), attack_axis(), compromised_axis(Shown::kAlways),
+        damage_axis()},
+       nullptr, [](const Spec&) { return Ids{"dr"}; }, &S::run_dr},
+      {ExperimentKind::kDensitySweep, "density-sweep", "", 0, nullptr, {},
+       {density_axis(), metric_axis(), attack_axis(),
+        compromised_axis(Shown::kAlways), damage_axis()},
+       nullptr, [](const Spec&) { return Ids{"density"}; },
+       &S::run_density},
       {ExperimentKind::kDeploymentPdf, "deployment-pdf", "pdf", 0, parse_pdf,
-       {{"grid", 2, 12, 0, 1, 1.0}},
+       {{"grid", 2, 12, 0, 1, 1.0}}, {},
        [](const Spec&) { return 2LL; },
        [](const Spec&) { return Ids{"surface", "radial"}; }, &S::run_pdf},
       {ExperimentKind::kGzAccuracy, "gz-accuracy", "gz", 0, parse_gz,
-       {{"omegas", 8, 256, 0, 4, 1.0}},
+       {{"omegas", 8, 256, 0, 4, 1.0}}, {},
        [](const Spec& s) { return len(s.omegas); },
        [](const Spec&) { return Ids{"gz"}; }, &S::run_gz},
       {ExperimentKind::kCorrection, "correction", "correction",
        kMultiAttacks | kMultiDamages, parse_correction,
-       {{"trials", 2, 40, 0, 1, 1.0}},
+       {{"trials", 2, 40, 0, 1, 1.0}}, {},
        [](const Spec& s) { return 1 + len(s.attacks) * len(s.damages); },
        [](const Spec&) { return Ids{"benign_floor", "correction"}; },
        &S::run_correction},
@@ -516,10 +631,10 @@ const std::vector<KindSpec>& kind_table() {
         {"grid_y", 2, 8, 0, 1, 0.5},
         {"range", 20, 120, 0, 1, 0.5},
         {"train_samples", 20, 200, 0, 1, 0.5}},
-       [](const Spec& s) { return 1 + len(s.damages); },
+       {}, [](const Spec& s) { return 1 + len(s.damages); },
        [](const Spec&) { return Ids{"meta", "echo"}; }, &S::run_echo},
       {ExperimentKind::kMetricFusion, "metric-fusion", "",
-       kMultiMetrics | kKeyBundle, nullptr, {},
+       kMultiMetrics | kKeyBundle, nullptr, {}, {},
        [](const Spec& s) { return 1 + len(s.metrics); },
        [](const Spec&) { return Ids{"benign", "fusion"}; }, &S::run_fusion},
       {ExperimentKind::kMmseVulnerability, "mmse-vulnerability", "mmse", 0,
@@ -528,12 +643,12 @@ const std::vector<KindSpec>& kind_table() {
         {"dvhop_lies", 0, 1600, 0, 3, 0.6},
         {"trials", 2, 40, 0, 1, 0.5},
         {"dvhop_trials", 2, 20, 0, 1, 0.5}},
-       [](const Spec& s) { return len(s.lies) + len(s.dvhop_lies); },
+       {}, [](const Spec& s) { return len(s.lies) + len(s.dvhop_lies); },
        [](const Spec&) { return Ids{"mmse", "dvhop"}; }, &S::run_mmse},
       {ExperimentKind::kThresholdSensitivity, "threshold-sensitivity",
        "threshold", kMultiDamages, parse_threshold,
        {{"taus", 0.9, 0.999, 3, 4, 0.8}, {"fudges", 0.5, 2.0, 2, 4, 0.5}},
-       [](const Spec& s) { return len(s.taus) + len(s.fudges); },
+       {}, [](const Spec& s) { return len(s.taus) + len(s.fudges); },
        [](const Spec&) { return Ids{"tau", "fudge"}; }, &S::run_threshold},
       {ExperimentKind::kTimeEvolving, "time-evolving", "evolve",
        kMultiAttacks | kMultiDamages, parse_evolve,
@@ -542,7 +657,7 @@ const std::vector<KindSpec>& kind_table() {
         {"step", 1, 8, 0, 1, 0.5},
         {"initial", 0, 6, 0, 1, 0.5},
         {"train_samples", 20, 200, 0, 1, 0.5}},
-       [](const Spec& s) { return 1 + len(s.attacks) * len(s.damages); },
+       {}, [](const Spec& s) { return 1 + len(s.attacks) * len(s.damages); },
        [](const Spec&) { return Ids{"meta", "evolve"}; }, &S::run_evolve},
       {ExperimentKind::kInNetwork, "in-network", "coop", kMultiDamages,
        parse_coop,
@@ -550,7 +665,7 @@ const std::vector<KindSpec>& kind_table() {
         {"radius", 40, 200, 0, 1, 0.5},
         {"majority", 0.2, 1.0, 2, 1, 0.5},
         {"train_samples", 20, 200, 0, 1, 0.5}},
-       [](const Spec& s) { return 1 + len(s.damages); },
+       {}, [](const Spec& s) { return 1 + len(s.damages); },
        [](const Spec&) { return Ids{"fp", "coop"}; }, &S::run_coop},
   };
   return table;
@@ -577,6 +692,58 @@ const char* experiment_kind_name(ExperimentKind kind) {
   return kind_spec(kind).name;
 }
 
+bool KindSpec::accepts(KindAccepts bit) const {
+  unsigned all = accepted;
+  for (const GridAxis& axis : axes) all |= axis.bits;
+  return (all & bit) != 0;
+}
+
+long long KindSpec::num_items(const ScenarioSpec& spec) const {
+  if (items != nullptr) return items(spec);
+  long long n = 1;
+  for (const GridAxis& axis : axes) {
+    n *= static_cast<long long>(axis.size(spec));
+  }
+  return n;
+}
+
+std::vector<std::string> KindSpec::dim_columns(const ScenarioSpec& spec) const {
+  std::vector<std::string> dims;
+  for (const GridAxis& axis : axes) {
+    for (const GridAxis::Column& column : axis.columns) {
+      if (column.shown(spec)) dims.push_back(column.name);
+    }
+  }
+  return dims;
+}
+
+void KindSpec::add_dims(const ScenarioSpec& spec, const GridCell& cell,
+                        Table& row) const {
+  for (const GridAxis& axis : axes) {
+    for (const GridAxis::Column& column : axis.columns) {
+      if (column.shown(spec)) column.print(cell, row);
+    }
+  }
+}
+
+void KindSpec::for_each_cell(
+    const ScenarioSpec& spec, const ShardRange& shard,
+    const std::function<void(long long item, const GridCell& cell)>& body)
+    const {
+  const long long total = num_items(spec);
+  for (long long item = shard.index; item < total; item += shard.count) {
+    // Mixed-radix decode, the last axis fastest.
+    GridCell cell;
+    long long rest = item;
+    for (auto axis = axes.rbegin(); axis != axes.rend(); ++axis) {
+      const auto n = static_cast<long long>(axis->size(spec));
+      axis->set(spec, static_cast<std::size_t>(rest % n), cell);
+      rest /= n;
+    }
+    body(item, cell);
+  }
+}
+
 // --- ScenarioRunner -----------------------------------------------------
 
 ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec)
@@ -585,7 +752,7 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec)
 ScenarioRunner::~ScenarioRunner() = default;
 
 long long ScenarioRunner::num_items() const {
-  return kind_spec(state_->spec.kind).items(state_->spec);
+  return kind_spec(state_->spec.kind).num_items(state_->spec);
 }
 
 std::vector<std::string> ScenarioRunner::table_ids() const {
@@ -654,84 +821,38 @@ ScenarioResult ScenarioRunner::run(const ShardRange& shard) {
 // --- the run functions --------------------------------------------------
 
 ScenarioResult ScenarioRunState::run_roc(const ShardRange& shard) {
-  const bool many_metrics = spec.metrics.size() > 1;
-  const bool many_attacks = spec.attacks.size() > 1;
-  const bool many_xs = spec.compromised.size() > 1;
-
-  std::vector<std::string> dims;
-  if (many_metrics) dims.push_back("metric");
-  if (many_attacks) dims.push_back("attack");
-  dims.push_back("D");
-  if (many_xs) dims.push_back("x");
-
-  std::vector<std::string> summary_cols = dims;
-  summary_cols.push_back("AUC");
+  std::vector<std::string> summary_cols = {"AUC"};
   for (double fp : spec.fp_grid) summary_cols.push_back(percent_label(fp));
-  std::vector<std::string> curve_cols = dims;
-  curve_cols.push_back("FP");
-  curve_cols.push_back("DR");
+  std::vector<std::vector<std::string>> tails = {summary_cols};
+  if (spec.curve_points > 0) tails.push_back({"FP", "DR"});
 
-  std::vector<std::vector<std::string>> columns = {summary_cols};
-  if (spec.curve_points > 0) columns.push_back(curve_cols);
-  ScenarioResult result = new_result(std::move(columns));
+  return run_grid(shard, tails, [this](const GridCell& c,
+                                       const NewRow& new_row) {
+    Pipeline& pipeline = base_pipeline();
+    const std::vector<double>& benign_scores =
+        benign_for(pipeline, spec.localizers.front()).scores.at(c.metric);
+    const RocCurve curve(
+        benign_scores, pipeline.attack_scores({c.metric, c.attack, c.d, c.x}));
 
-  ItemScheduler sched(result, spec.jobs);
-  long long item = -1;
-  for (MetricKind metric : spec.metrics) {
-    for (AttackClass cls : spec.attacks) {
-      for (double d : spec.damages) {
-        for (double x : spec.compromised) {
-          ++item;
-          if (!shard.contains(item)) continue;
-          sched.add(item, [this, metric, cls, d, x, many_metrics,
-                           many_attacks, many_xs](ItemSink& sink) {
-            Pipeline& pipeline = base_pipeline();
-            const std::vector<double>& benign_scores =
-                benign_for(pipeline, spec.localizers.front())
-                    .scores.at(metric);
-            const RocCurve curve(benign_scores,
-                                 pipeline.attack_scores({metric, cls, d, x}));
-
-            auto add_dims = [&](Table& t) -> Table& {
-              if (many_metrics) t.add(metric_name(metric));
-              if (many_attacks) t.add(attack_class_name(cls));
-              t.add(d, 0);
-              if (many_xs) t.add(x, 2);
-              return t;
-            };
-            Table& row = add_dims(sink.row(0));
-            row.add(curve.auc(), 4);
-            for (double fp : spec.fp_grid) {
-              row.add(curve.detection_rate_at_fp(fp), 4);
-            }
-            if (spec.curve_points > 0) {
-              const auto& pts = curve.points();
-              const std::size_t stride = std::max<std::size_t>(
-                  1, pts.size() / static_cast<std::size_t>(spec.curve_points));
-              for (std::size_t i = 0; i < pts.size(); i += stride) {
-                add_dims(sink.row(1))
-                    .add(pts[i].false_positive_rate, 5)
-                    .add(pts[i].detection_rate, 5);
-              }
-            }
-          });
-        }
+    Table& row = new_row(0);
+    row.add(curve.auc(), 4);
+    for (double fp : spec.fp_grid) {
+      row.add(curve.detection_rate_at_fp(fp), 4);
+    }
+    if (spec.curve_points > 0) {
+      const auto& pts = curve.points();
+      const std::size_t stride = std::max<std::size_t>(
+          1, pts.size() / static_cast<std::size_t>(spec.curve_points));
+      for (std::size_t i = 0; i < pts.size(); i += stride) {
+        new_row(1)
+            .add(pts[i].false_positive_rate, 5)
+            .add(pts[i].detection_rate, 5);
       }
     }
-  }
-  sched.run();
-  return result;
+  });
 }
 
 ScenarioResult ScenarioRunState::run_dr(const ShardRange& shard) {
-  const auto pairs = mismatch_pairs(spec);
-  const bool many_sigmas = spec.actual_sigmas.size() > 1;
-  const bool many_jitters = spec.jitters.size() > 1;
-  const bool many_shapes = spec.shapes.size() > 1;
-  const bool many_locs = spec.localizers.size() > 1;
-  const bool many_metrics = spec.metrics.size() > 1;
-  const bool many_attacks = spec.attacks.size() > 1;
-  const bool many_modes = spec.group_threshold_modes.size() > 1;
   // The boundary/interior split columns appear whenever the per_group mode
   // is in play - the whole point of the sweep is comparing the edge
   // against the (byte-identical) interior.
@@ -741,26 +862,12 @@ ScenarioResult ScenarioRunState::run_dr(const ShardRange& shard) {
                 GroupThresholdMode::kPerGroup) !=
       spec.group_threshold_modes.end();
 
-  std::vector<std::string> cols;
-  if (many_modes) cols.push_back("group_mode");
-  if (many_sigmas) cols.push_back("actual_sigma");
-  if (many_jitters) cols.push_back("jitter");
-  if (many_shapes) cols.push_back("shape");
-  if (many_locs) cols.push_back("localizer");
-  if (many_metrics) cols.push_back("metric");
-  if (many_attacks) cols.push_back("attack");
-  cols.push_back("x");
-  cols.push_back("D");
-  cols.push_back("DR");
-  cols.push_back("trained_FP");
-  cols.push_back("threshold");
+  std::vector<std::string> cols = {"DR", "trained_FP", "threshold"};
   if (split_groups) {
     cols.insert(cols.end(),
                 {"DR_interior", "DR_boundary", "FP_interior", "FP_boundary"});
   }
   if (spec.loc_error) cols.push_back("loc_error");
-
-  ScenarioResult result = new_result({cols});
 
   // fraction of `scores` above its victim-group threshold, restricted to
   // samples whose group passes `keep` (empty selection -> 0).
@@ -779,166 +886,90 @@ ScenarioResult ScenarioRunState::run_dr(const ShardRange& shard) {
                   : static_cast<double>(above) / static_cast<double>(n);
   };
 
-  ItemScheduler sched(result, spec.jobs);
-  long long item = -1;
-  for (GroupThresholdMode mode : spec.group_threshold_modes) {
-    for (const auto& pair : pairs) {
-      const double actual_sigma = pair.first;
-      const double jitter = pair.second;
-      for (DeploymentShape shape : spec.shapes) {
-        for (const std::string& localizer : spec.localizers) {
-          for (MetricKind metric : spec.metrics) {
-            for (AttackClass cls : spec.attacks) {
-              for (double x : spec.compromised) {
-                for (double d : spec.damages) {
-                  ++item;
-                  if (!shard.contains(item)) continue;
-                  sched.add(item, [this, mode, actual_sigma, jitter, shape,
-                                   localizer, metric, cls, x, d, many_modes,
-                                   many_sigmas, many_jitters, many_shapes,
-                                   many_locs, many_metrics, many_attacks,
-                                   split_groups,
-                                   &rate_where](ItemSink& sink) {
-                    Pipeline& pipeline = pipeline_for(
-                        group_config(shape, actual_sigma, jitter));
-                    const BenignPass& benign_pass =
-                        benign_for(pipeline, localizer);
-                    const std::vector<double>& benign_scores =
-                        benign_pass.scores.at(metric);
-                    const ThresholdFit fit =
-                        fit_threshold(metric, benign_scores, spec.fp_budget);
-                    std::vector<int> attack_groups;
-                    const std::vector<double> scores = pipeline.attack_scores(
-                        {metric, cls, d, x},
-                        split_groups ? &attack_groups : nullptr);
+  return run_grid(shard, {cols}, [this, split_groups, &rate_where](
+                                      const GridCell& c,
+                                      const NewRow& new_row) {
+    Pipeline& pipeline =
+        pipeline_for(group_config(c.shape, c.actual_sigma, c.jitter));
+    const BenignPass& benign_pass = benign_for(pipeline, c.localizer);
+    const std::vector<double>& benign_scores = benign_pass.scores.at(c.metric);
+    const ThresholdFit fit =
+        fit_threshold(c.metric, benign_scores, spec.fp_budget);
+    std::vector<int> attack_groups;
+    const std::vector<double> scores =
+        pipeline.attack_scores({c.metric, c.attack, c.d, c.x},
+                               split_groups ? &attack_groups : nullptr);
 
-                    // Per-group threshold vector: the pooled fit everywhere,
-                    // boundary groups re-fitted on their own benign buckets
-                    // in per_group mode (interior groups always keep the
-                    // pooled value, which is what keeps their verdicts
-                    // byte-identical across modes).
-                    const std::size_t num_groups = static_cast<std::size_t>(
-                        pipeline.model().num_groups());
-                    std::vector<double> thresholds(num_groups,
-                                                   fit.threshold());
-                    std::vector<char> is_boundary(num_groups, 0);
-                    if (split_groups) {
-                      const std::vector<GroupTrainingResult>& fits =
-                          group_fit_for(pipeline, localizer, metric,
-                                        fit.threshold());
-                      for (const GroupTrainingResult& r : fits) {
-                        is_boundary[static_cast<std::size_t>(r.group)] = 1;
-                        if (mode == GroupThresholdMode::kPerGroup) {
-                          thresholds[static_cast<std::size_t>(r.group)] =
-                              r.training.threshold;
-                        }
-                      }
-                    }
-
-                    Table& row = sink.row(0);
-                    if (many_modes) row.add(group_threshold_mode_name(mode));
-                    if (many_sigmas) row.add(actual_sigma, 1);
-                    if (many_jitters) row.add(jitter, 1);
-                    if (many_shapes) row.add(deployment_shape_name(shape));
-                    if (many_locs) row.add(localizer);
-                    if (many_metrics) row.add(metric_name(metric));
-                    if (many_attacks) row.add(attack_class_name(cls));
-                    row.add(x, 2).add(d, 0);
-                    const auto dr = [&](const auto& keep) {
-                      return rate_where(scores, attack_groups, thresholds,
-                                        keep);
-                    };
-                    const auto fp = [&](const auto& keep) {
-                      return rate_where(benign_scores,
-                                        benign_pass.victim_groups, thresholds,
-                                        keep);
-                    };
-                    const auto all = [](int) { return true; };
-                    if (mode == GroupThresholdMode::kPerGroup) {
-                      row.add(dr(all), 4).add(fp(all), 4);
-                    } else {
-                      row.add(fraction_above(scores, fit.threshold()), 4)
-                          .add(fit.realized_fp, 4);
-                    }
-                    row.add(fit.threshold(), 2);
-                    if (split_groups) {
-                      const auto interior = [&](int g) {
-                        return is_boundary[static_cast<std::size_t>(g)] == 0;
-                      };
-                      const auto boundary = [&](int g) {
-                        return is_boundary[static_cast<std::size_t>(g)] != 0;
-                      };
-                      row.add(dr(interior), 4)
-                          .add(dr(boundary), 4)
-                          .add(fp(interior), 4)
-                          .add(fp(boundary), 4);
-                    }
-                    if (spec.loc_error) {
-                      row.add(loc_error_for(pipeline, localizer), 2);
-                    }
-                  });
-                }
-              }
-            }
-          }
+    // Per-group threshold vector: the pooled fit everywhere, boundary
+    // groups re-fitted on their own benign buckets in per_group mode
+    // (interior groups always keep the pooled value, which is what keeps
+    // their verdicts byte-identical across modes).
+    const std::size_t num_groups =
+        static_cast<std::size_t>(pipeline.model().num_groups());
+    std::vector<double> thresholds(num_groups, fit.threshold());
+    std::vector<char> is_boundary(num_groups, 0);
+    if (split_groups) {
+      const std::vector<GroupTrainingResult>& fits =
+          group_fit_for(pipeline, c.localizer, c.metric, fit.threshold());
+      for (const GroupTrainingResult& r : fits) {
+        is_boundary[static_cast<std::size_t>(r.group)] = 1;
+        if (c.mode == GroupThresholdMode::kPerGroup) {
+          thresholds[static_cast<std::size_t>(r.group)] = r.training.threshold;
         }
       }
     }
-  }
-  sched.run();
-  return result;
+
+    Table& row = new_row(0);
+    const auto dr = [&](const auto& keep) {
+      return rate_where(scores, attack_groups, thresholds, keep);
+    };
+    const auto fp = [&](const auto& keep) {
+      return rate_where(benign_scores, benign_pass.victim_groups, thresholds,
+                        keep);
+    };
+    const auto all = [](int) { return true; };
+    if (c.mode == GroupThresholdMode::kPerGroup) {
+      row.add(dr(all), 4).add(fp(all), 4);
+    } else {
+      row.add(fraction_above(scores, fit.threshold()), 4)
+          .add(fit.realized_fp, 4);
+    }
+    row.add(fit.threshold(), 2);
+    if (split_groups) {
+      const auto interior = [&](int g) {
+        return is_boundary[static_cast<std::size_t>(g)] == 0;
+      };
+      const auto boundary = [&](int g) {
+        return is_boundary[static_cast<std::size_t>(g)] != 0;
+      };
+      row.add(dr(interior), 4)
+          .add(dr(boundary), 4)
+          .add(fp(interior), 4)
+          .add(fp(boundary), 4);
+    }
+    if (spec.loc_error) row.add(loc_error_for(pipeline, c.localizer), 2);
+  });
 }
 
 ScenarioResult ScenarioRunState::run_density(const ShardRange& shard) {
-  const bool many_metrics = spec.metrics.size() > 1;
-  const bool many_attacks = spec.attacks.size() > 1;
-
-  std::vector<std::string> cols = {"m"};
-  if (many_metrics) cols.push_back("metric");
-  if (many_attacks) cols.push_back("attack");
-  cols.insert(cols.end(), {"x", "D", "DR", "mle_loc_error", "threshold"});
-
-  ScenarioResult result = new_result({cols});
-
-  ItemScheduler sched(result, spec.jobs);
-  long long item = -1;
-  for (int m : spec.densities) {
-    for (MetricKind metric : spec.metrics) {
-      for (AttackClass cls : spec.attacks) {
-        for (double x : spec.compromised) {
-          for (double d : spec.damages) {
-            ++item;
-            if (!shard.contains(item)) continue;
-            sched.add(item, [this, m, metric, cls, x, d, many_metrics,
-                             many_attacks](ItemSink& sink) {
-              // Each density re-deploys with its decorrelated per-m seed
-              // (density_pipeline_config).
-              Pipeline& pipeline =
-                  pipeline_for(density_pipeline_config(spec.pipeline, m));
-              const std::string& localizer = spec.localizers.front();
-              const ThresholdFit fit = fit_threshold(
-                  metric, benign_for(pipeline, localizer).scores.at(metric),
-                  spec.fp_budget);
-              const std::vector<double> scores =
-                  pipeline.attack_scores({metric, cls, d, x});
-
-              Table& row = sink.row(0);
-              row.add(m);
-              if (many_metrics) row.add(metric_name(metric));
-              if (many_attacks) row.add(attack_class_name(cls));
-              row.add(x, 2)
-                  .add(d, 0)
-                  .add(fraction_above(scores, fit.threshold()), 4)
-                  .add(loc_error_for(pipeline, localizer), 2)
-                  .add(fit.threshold(), 2);
-            });
-          }
-        }
-      }
-    }
-  }
-  sched.run();
-  return result;
+  return run_grid(
+      shard, {{"DR", "mle_loc_error", "threshold"}},
+      [this](const GridCell& c, const NewRow& new_row) {
+        // Each density re-deploys with its decorrelated per-m seed
+        // (density_pipeline_config).
+        Pipeline& pipeline =
+            pipeline_for(density_pipeline_config(spec.pipeline, c.m));
+        const std::string& localizer = spec.localizers.front();
+        const ThresholdFit fit = fit_threshold(
+            c.metric, benign_for(pipeline, localizer).scores.at(c.metric),
+            spec.fp_budget);
+        const std::vector<double> scores =
+            pipeline.attack_scores({c.metric, c.attack, c.d, c.x});
+        new_row(0)
+            .add(fraction_above(scores, fit.threshold()), 4)
+            .add(loc_error_for(pipeline, localizer), 2)
+            .add(fit.threshold(), 2);
+      });
 }
 
 ScenarioResult ScenarioRunState::run_pdf(const ShardRange& shard) {

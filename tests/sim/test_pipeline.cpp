@@ -4,6 +4,7 @@
 
 #include "util/assert.h"
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "attack/adversary.h"
@@ -161,6 +162,40 @@ TEST(Pipeline, RejectsBadConfigs) {
   bad.compromised_frac = 0.1;
   bad.damage = -5.0;
   EXPECT_THROW(ok.attack_scores(bad), AssertionError);
+}
+
+// Cross-scoring by the attacked metric alone is the plain attack pass:
+// both run the same body, so the scores agree bit for bit.
+TEST(Pipeline, CrossScoringByTheAttackedMetricEqualsAttackScores) {
+  Pipeline p(small_pipeline_config());
+  for (MetricKind metric :
+       {MetricKind::kDiff, MetricKind::kAddAll, MetricKind::kProb}) {
+    AttackSpec spec;
+    spec.metric = metric;
+    spec.damage = 90.0;
+    spec.compromised_frac = 0.2;
+    const auto cross = p.attack_scores_cross(spec, {spec.metric});
+    ASSERT_EQ(cross.size(), 1u);
+    const std::vector<double> plain = p.attack_scores(spec);
+    const std::vector<double>& crossed = cross.at(metric);
+    ASSERT_EQ(crossed.size(), plain.size());
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+      EXPECT_EQ(std::memcmp(&crossed[i], &plain[i], sizeof(double)), 0)
+          << metric_name(metric) << " victim " << i;
+    }
+  }
+}
+
+TEST(Pipeline, CrossScoringRejectsBadAttackSpecs) {
+  Pipeline p(small_pipeline_config());
+  const std::vector<MetricKind> scorers = {MetricKind::kDiff,
+                                           MetricKind::kProb};
+  AttackSpec bad;
+  bad.compromised_frac = 1.5;
+  EXPECT_THROW(p.attack_scores_cross(bad, scorers), AssertionError);
+  bad.compromised_frac = 0.1;
+  bad.damage = -5.0;
+  EXPECT_THROW(p.attack_scores_cross(bad, scorers), AssertionError);
 }
 
 TEST(Pipeline, VictimGroupsAlignWithScoresAndNeverPerturbThem) {

@@ -166,6 +166,43 @@ TEST(ScenarioSpec, BadDetectorSettingsAreRejected) {
                AssertionError);
 }
 
+// compromised is a fraction of the neighborhood and damages a distance:
+// a value outside [0,1] or below 0 is rejected when the spec is parsed,
+// by a message naming the key, before any kind computes with it.
+TEST(ScenarioSpec, SweepValueRangesAreCheckedAtParseTime) {
+  const auto parse = [](const std::string& kind, const std::string& line) {
+    return ScenarioSpec::from_config(KvConfig::parse_string(
+        "[scenario]\nname = x\nexperiment = " + kind + "\n[sweep]\n" +
+        line + "\n"));
+  };
+  const auto expect_rejected = [&](const std::string& kind,
+                                   const std::string& line,
+                                   const std::string& key) {
+    try {
+      parse(kind, line);
+      ADD_FAILURE() << kind << ": '" << line << "' was accepted";
+    } catch (const AssertionError& e) {
+      EXPECT_NE(std::string(e.what()).find("[sweep] " + key),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  for (const std::string kind : {"roc", "correction", "in-network"}) {
+    SCOPED_TRACE(kind);
+    // compromised: both ends of [0,1] are valid, either side is not.
+    expect_rejected(kind, "compromised = 1.5", "compromised");
+    expect_rejected(kind, "compromised = -0.2", "compromised");
+    EXPECT_EQ(parse(kind, "compromised = 0").compromised.front(), 0.0);
+    EXPECT_EQ(parse(kind, "compromised = 1").compromised.front(), 1.0);
+    // damages: zero is valid, any negative value is not.
+    expect_rejected(kind, "damages = -40", "damages");
+    EXPECT_EQ(parse(kind, "damages = 0").damages.front(), 0.0);
+  }
+  // One bad value anywhere in a list rejects the spec.
+  expect_rejected("roc", "compromised = 0.1, 0.2, 1.01", "compromised");
+  expect_rejected("roc", "damages = 40, -1, 80", "damages");
+}
+
 TEST(ScenarioSpec, UnsweptMultiValuedAxesAreRejected) {
   const auto parse = [](const std::string& kind, const std::string& body) {
     return ScenarioSpec::from_config(KvConfig::parse_string(

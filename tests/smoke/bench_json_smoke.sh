@@ -2,13 +2,12 @@
 # Smoke test for the machine-readable bench surface: scale_observe --quick
 # must emit a BENCH_*.json that tools/bench_json_check accepts, with the
 # rows the bench promises.  This is the CI gate that keeps every bench's
-# JSON output conforming to the lad-bench-1 schema.  Both JSON benches
-# must also reject an unusable --out by name before measuring anything.
+# JSON output conforming to the lad-bench-1 schema.  The bench must also
+# reject an unusable --out by name before measuring anything.
 set -u
 
 bench="$1"
 checker="$2"
-pipeline="$3"
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
 
@@ -45,14 +44,11 @@ fi
 # with a named error and exit 2 before any timing: nothing on stdout.
 blocker="$workdir/not_a_dir"
 : >"$blocker"
-for b in "$bench" "$pipeline"; do
-  name="$(basename "$b")"
-  out="$("$b" --quick --out "$blocker/sub" 2>"$workdir/err.txt")"
-  rc=$?
-  [ "$rc" = 2 ] || fail "$name with an unusable --out exited $rc, want 2"
-  [ -z "$out" ] || fail "$name ran before rejecting --out: $out"
-  grep -q "cannot create output directory" "$workdir/err.txt" \
-    || fail "$name: unnamed --out error: $(cat "$workdir/err.txt")"
-done
+out="$("$bench" --quick --out "$blocker/sub" 2>"$workdir/err.txt")"
+rc=$?
+[ "$rc" = 2 ] || fail "scale_observe with an unusable --out exited $rc, want 2"
+[ -z "$out" ] || fail "scale_observe ran before rejecting --out: $out"
+grep -q "cannot create output directory" "$workdir/err.txt" \
+  || fail "scale_observe: unnamed --out error: $(cat "$workdir/err.txt")"
 
 echo "bench_json_smoke OK"

@@ -8,7 +8,9 @@
 //   * neighbor-query throughput of the spatial index, single
 //     (BM_NeighborQuery) and batched (BM_ObserveMany/BM_ObserveGrid) —
 //     the docs/PERFORMANCE.md before/after surface;
-//   * end-to-end Detector::check and MLE localization.
+//   * end-to-end Detector::check and MLE localization;
+//   * the attack pass per (victim, cell), one pass per cell against one
+//     batch per D (BM_AttackPass, the docs/PERFORMANCE.md attack table).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -28,6 +30,7 @@
 #include "geom/vec2.h"
 #include "loc/beaconless_mle.h"
 #include "rng/rng.h"
+#include "sim/pipeline.h"
 
 namespace lad {
 namespace {
@@ -245,6 +248,48 @@ void BM_NetworkDeployment(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NetworkDeployment)->Unit(benchmark::kMillisecond);
+
+/// The attack samples of one pipeline at one D, in the attack-grid shape
+/// of bench/ladbench: paper deployment, 4 networks x 25 victims, 3 metrics
+/// x 2 classes x 5 values of x = 30 cells at D = 120.  Args: mode (0 = one
+/// attack_scores pass per cell, 1 = one attack_batch over all cells) and
+/// threads.  `per_victim_cell` is the time per (victim, cell).
+void BM_AttackPass(benchmark::State& state) {
+  PipelineConfig cfg;
+  cfg.networks = 4;
+  cfg.victims_per_network = 25;
+  cfg.threads = static_cast<int>(state.range(1));
+  Pipeline pipeline(cfg);
+  std::vector<AttackCell> cells;
+  for (MetricKind metric :
+       {MetricKind::kDiff, MetricKind::kAddAll, MetricKind::kProb}) {
+    for (AttackClass cls : {AttackClass::kDecBounded, AttackClass::kDecOnly}) {
+      for (double x : {0.05, 0.1, 0.2, 0.3, 0.5}) {
+        cells.push_back({metric, cls, x, {metric}});
+      }
+    }
+  }
+  constexpr double kDamage = 120.0;
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      for (const AttackCell& cell : cells) {
+        benchmark::DoNotOptimize(pipeline.attack_scores(
+            {cell.metric, cell.attack_class, kDamage, cell.compromised_frac}));
+      }
+    } else {
+      benchmark::DoNotOptimize(pipeline.attack_batch(kDamage, cells));
+    }
+  }
+  state.counters["per_victim_cell"] = benchmark::Counter(
+      static_cast<double>(cells.size() * 100),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_AttackPass)
+    ->ArgNames({"batch", "threads"})
+    ->ArgsProduct({{0, 1}, {1, 2, 4}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace lad

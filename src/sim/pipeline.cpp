@@ -224,14 +224,14 @@ bool Pipeline::concurrent_localize_all(
   return true;
 }
 
-void Pipeline::draw_attack_victims(const AttackSpec& spec,
+void Pipeline::draw_attack_victims(double damage,
                                    std::vector<std::size_t>& victims,
                                    std::vector<Vec2>& les) {
   const std::size_t nnet = networks_.size();
   const std::size_t k = static_cast<std::size_t>(config_.victims_per_network);
   const Aabb field = config_.deploy.field();
   // The attack sub-stream is independent of the benign pass but *also*
-  // independent of the spec, so different (D, x) settings see the same
+  // independent of the cell, so different (D, x) settings see the same
   // victims - variance reduction that matches the paper's sweeps.
   // Historical call order per network: victim then Le, per victim.
   victims.resize(nnet * k);
@@ -244,21 +244,28 @@ void Pipeline::draw_attack_victims(const AttackSpec& spec,
       victims[ni * k + v] = draw_victim(net, config_, rng);
       // Step 2: plant Le with |Le - La| = D.
       les[ni * k + v] = displaced_location(net.position(victims[ni * k + v]),
-                                           spec.damage, field, rng);
+                                           damage, field, rng);
     }
   }
 }
 
 std::vector<double> Pipeline::attack_scores(const AttackSpec& spec,
                                             std::vector<int>* victim_groups) {
-  return std::move(attack_pass(spec, {spec.metric}, victim_groups).front());
+  return std::move(
+      attack_batch(spec.damage,
+                   {{spec.metric, spec.attack_class, spec.compromised_frac,
+                     {spec.metric}}},
+                   victim_groups)
+          .front()
+          .front());
 }
 
 std::map<MetricKind, std::vector<double>> Pipeline::attack_scores_cross(
     const AttackSpec& spec, const std::vector<MetricKind>& scorers) {
-  LAD_REQUIRE_MSG(!scorers.empty(), "need at least one scoring metric");
-  std::vector<std::vector<double>> scores =
-      attack_pass(spec, scorers, nullptr);
+  std::vector<std::vector<double>> scores = std::move(
+      attack_batch(spec.damage, {{spec.metric, spec.attack_class,
+                                  spec.compromised_frac, scorers}})
+          .front());
   std::map<MetricKind, std::vector<double>> out;
   for (std::size_t si = 0; si < scorers.size(); ++si) {
     out[scorers[si]] = std::move(scores[si]);
@@ -266,25 +273,33 @@ std::map<MetricKind, std::vector<double>> Pipeline::attack_scores_cross(
   return out;
 }
 
-std::vector<std::vector<double>> Pipeline::attack_pass(
-    const AttackSpec& spec, const std::vector<MetricKind>& scorers,
+std::vector<std::vector<std::vector<double>>> Pipeline::attack_batch(
+    double damage, const std::vector<AttackCell>& cells,
     std::vector<int>* victim_groups) {
-  LAD_REQUIRE_MSG(spec.damage >= 0, "damage must be non-negative");
-  LAD_REQUIRE_MSG(spec.compromised_frac >= 0 && spec.compromised_frac <= 1,
-                  "compromised fraction must be in [0,1]");
+  LAD_REQUIRE_MSG(damage >= 0, "damage must be non-negative");
+  for (const AttackCell& cell : cells) {
+    LAD_REQUIRE_MSG(cell.compromised_frac >= 0 && cell.compromised_frac <= 1,
+                    "compromised fraction must be in [0,1]");
+    LAD_REQUIRE_MSG(!cell.scorers.empty(), "need at least one scoring metric");
+  }
   const std::size_t nnet = networks_.size();
   const std::size_t k = static_cast<std::size_t>(config_.victims_per_network);
   const int m = config_.deploy.nodes_per_group;
 
-  std::vector<std::unique_ptr<Metric>> scorer_impls;
-  for (MetricKind kind : scorers) scorer_impls.push_back(make_metric(kind));
-  std::vector<std::vector<double>> scores(
-      scorers.size(), std::vector<double>(nnet * k, 0.0));
+  // scorer_impls[cell][scorer], scores[cell][scorer][network * k + victim]
+  std::vector<std::vector<std::unique_ptr<Metric>>> scorer_impls(cells.size());
+  std::vector<std::vector<std::vector<double>>> scores(cells.size());
+  for (std::size_t ci = 0; ci < cells.size(); ++ci) {
+    for (MetricKind kind : cells[ci].scorers) {
+      scorer_impls[ci].push_back(make_metric(kind));
+      scores[ci].emplace_back(nnet * k, 0.0);
+    }
+  }
   if (victim_groups != nullptr) victim_groups->assign(nnet * k, 0);
 
   std::vector<std::size_t> victims;
   std::vector<Vec2> les;
-  draw_attack_victims(spec, victims, les);
+  draw_attack_victims(damage, victims, les);
 
   // No localizer in this pass, so the flat fan-out is unconditional.
   for_each_victim_span(
@@ -299,14 +314,17 @@ std::vector<std::vector<double>> Pipeline::attack_pass(
           const Observation a = batch.to_observation(v - v_lo);
           const ExpectedObservation mu =
               model_.expected_observation(les[ni * k + v], gz_);
-          // Step 3: tainted observation minimizing the metric.
-          const int budget = static_cast<int>(
-              std::lround(spec.compromised_frac * a.total()));
-          const TaintResult taint =
-              greedy_taint(a, mu, m, spec.metric, spec.attack_class, budget);
-          for (std::size_t si = 0; si < scorer_impls.size(); ++si) {
-            scores[si][ni * k + v] =
-                scorer_impls[si]->score(taint.tainted, mu, m);
+          for (std::size_t ci = 0; ci < cells.size(); ++ci) {
+            const AttackCell& cell = cells[ci];
+            // Step 3: tainted observation minimizing the metric.
+            const int budget = static_cast<int>(
+                std::lround(cell.compromised_frac * a.total()));
+            const TaintResult taint = greedy_taint(
+                a, mu, m, cell.metric, cell.attack_class, budget);
+            for (std::size_t si = 0; si < scorer_impls[ci].size(); ++si) {
+              scores[ci][si][ni * k + v] =
+                  scorer_impls[ci][si]->score(taint.tainted, mu, m);
+            }
           }
           if (victim_groups != nullptr) {
             (*victim_groups)[ni * k + v] =

@@ -8,6 +8,13 @@
 //                   metric-minimizing procedure for the attack class and
 //                   compromise budget, score the tainted observation.
 //
+// The attack sub-stream ignores the metric, the attack class and x: only D
+// moves it.  So one attack batch per D draws the victims and planted Les
+// once, observes each victim and computes mu at its Le once, then runs
+// every requested (metric, class, x) cell's taint and scorers against
+// them.  A cell's scores are the same whether it runs alone or in a batch
+// with others.
+//
 // Networks are generated once per pipeline (deterministically from the
 // seed) and shared read-only across threads; each sampling pass derives
 // per-network Philox sub-streams, so results do not depend on thread count
@@ -78,6 +85,18 @@ struct AttackSpec {
   double compromised_frac = 0.1;  ///< x as a fraction of the neighborhood
 };
 
+/// One cell of an attack batch: the taint minimizes `metric` for
+/// `attack_class` at compromise fraction `compromised_frac`, and each
+/// tainted observation is scored by every metric in `scorers`.
+struct AttackCell {
+  MetricKind metric = MetricKind::kDiff;
+  AttackClass attack_class = AttackClass::kDecBounded;
+  double compromised_frac = 0.1;
+  std::vector<MetricKind> scorers;
+
+  bool operator==(const AttackCell&) const = default;
+};
+
 /// Per-group threshold training knobs for train_bundle.
 struct GroupTrainingSpec {
   bool per_group = false;  ///< fit boundary groups separately
@@ -112,9 +131,18 @@ class Pipeline {
       const LocalizerFactory& factory, const std::vector<MetricKind>& metrics,
       std::vector<int>* victim_groups = nullptr);
 
-  /// Attacked score samples for one attack specification.  As in
-  /// benign_scores, `victim_groups` optionally receives the per-sample
-  /// victim groups without perturbing the stream.
+  /// The attack pass at damage D for a list of cells: one victim draw, one
+  /// fan-out, and per victim one observation and one mu, shared by every
+  /// cell.  Returns scores[cell][scorer][sample], index-aligned with
+  /// `cells` and each cell's `scorers`.  As in benign_scores,
+  /// `victim_groups` optionally receives the per-sample victim groups
+  /// without perturbing the stream.
+  std::vector<std::vector<std::vector<double>>> attack_batch(
+      double damage, const std::vector<AttackCell>& cells,
+      std::vector<int>* victim_groups = nullptr);
+
+  /// Attacked score samples for one attack specification (a one-cell
+  /// attack_batch scored by the attacked metric).
   std::vector<double> attack_scores(const AttackSpec& spec,
                                     std::vector<int>* victim_groups = nullptr);
 
@@ -157,17 +185,9 @@ class Pipeline {
   std::vector<std::unique_ptr<Localizer>> benign_localizers(
       const LocalizerFactory& factory, std::vector<std::size_t>& victims);
 
-  /// The one attack pass behind attack_scores and attack_scores_cross:
-  /// the taint minimizes spec.metric, and each tainted observation is
-  /// scored by every metric in `scorers` (one index-aligned vector each).
-  std::vector<std::vector<double>> attack_pass(
-      const AttackSpec& spec, const std::vector<MetricKind>& scorers,
-      std::vector<int>* victim_groups);
-
-  /// The attack passes' sequential rng phase: victim and planted-Le draws
+  /// The attack batch's sequential rng phase: victim and planted-Le draws
   /// in the historical per-network order.
-  void draw_attack_victims(const AttackSpec& spec,
-                           std::vector<std::size_t>& victims,
+  void draw_attack_victims(double damage, std::vector<std::size_t>& victims,
                            std::vector<Vec2>& les);
 
   /// True when every per-network localizer supports order-independent

@@ -8,11 +8,18 @@
 #include <sstream>
 
 #include "attack/adversary.h"
+#include "attack/displacement.h"
+#include "attack/greedy.h"
 #include "core/metric.h"
 #include "core/serialize.h"
 #include "core/trainer.h"
+#include "deploy/network.h"
+#include "deploy/observation.h"
 #include "deploy/observe_kernel.h"
+#include "geom/aabb.h"
+#include "geom/vec2.h"
 #include "loc/truth_noise.h"
+#include "rng/rng.h"
 #include "stats/quantile.h"
 
 namespace lad {
@@ -333,6 +340,152 @@ TEST(Pipeline, PassesBitIdenticalAcrossThreadsAndKernels) {
                   p.train_bundle(factory, metrics, {0.95, 0.99}, 0.99));
       EXPECT_EQ(bundle.str(), base_bundle.str());
     }
+  }
+}
+
+// --- the attack batch against the per-cell pass it replaced -------------
+
+/// The attack pass of one cell as it ran before batching, one victim at a
+/// time: draw the victim and its planted Le from the network's attack
+/// stream (Section 7.1 steps 1-2), observe, compute mu, taint with budget
+/// round(x |a|) (step 3) and score with each of the cell's scorers.
+struct ReferencePass {
+  std::vector<std::vector<double>> scores;  ///< [scorer][sample]
+  std::vector<int> victim_groups;
+};
+
+std::size_t reference_draw_victim(const Network& net, const PipelineConfig& cfg,
+                                  Rng& rng) {
+  const Aabb field = cfg.deploy.field();
+  for (int tries = 0; tries < 256; ++tries) {
+    const std::size_t node =
+        static_cast<std::size_t>(rng.uniform_int(net.num_nodes()));
+    if (!cfg.victims_in_field_only || field.contains(net.position(node))) {
+      return node;
+    }
+  }
+  return static_cast<std::size_t>(rng.uniform_int(net.num_nodes()));
+}
+
+ReferencePass reference_attack_pass(const Pipeline& p, double damage,
+                                    const AttackCell& cell) {
+  constexpr std::uint64_t kStreamAttack = 0x41545441ull;  // "ATTA"
+  const PipelineConfig& cfg = p.config();
+  const int m = cfg.deploy.nodes_per_group;
+  std::vector<std::unique_ptr<Metric>> scorers;
+  for (MetricKind kind : cell.scorers) scorers.push_back(make_metric(kind));
+  ReferencePass out;
+  out.scores.resize(scorers.size());
+  for (std::size_t ni = 0; ni < p.networks().size(); ++ni) {
+    const Network& net = *p.networks()[ni];
+    Rng rng = Rng::stream(cfg.seed ^ kStreamAttack, ni);
+    for (int v = 0; v < cfg.victims_per_network; ++v) {
+      const std::size_t node = reference_draw_victim(net, cfg, rng);
+      const Vec2 le = displaced_location(net.position(node), damage,
+                                         cfg.deploy.field(), rng);
+      const Observation a = net.observe(node);
+      const ExpectedObservation mu = p.model().expected_observation(le, p.gz());
+      const int budget =
+          static_cast<int>(std::lround(cell.compromised_frac * a.total()));
+      const TaintResult taint =
+          greedy_taint(a, mu, m, cell.metric, cell.attack_class, budget);
+      for (std::size_t si = 0; si < scorers.size(); ++si) {
+        out.scores[si].push_back(scorers[si]->score(taint.tainted, mu, m));
+      }
+      out.victim_groups.push_back(p.model().nearest_group(net.position(node)));
+    }
+  }
+  return out;
+}
+
+/// Every (metric, class, x, scorers) cell the oracle draws subsets from.
+std::vector<AttackCell> oracle_cell_universe() {
+  const std::vector<MetricKind> metrics = {MetricKind::kDiff,
+                                           MetricKind::kAddAll,
+                                           MetricKind::kProb};
+  std::vector<AttackCell> cells;
+  for (MetricKind metric : metrics) {
+    for (AttackClass cls : {AttackClass::kDecBounded, AttackClass::kDecOnly}) {
+      for (double x : {0.0, 0.1, 0.35, 1.0}) {
+        cells.push_back({metric, cls, x, {metric}});
+        cells.push_back({metric, cls, x, {MetricKind::kProb, metric,
+                                          MetricKind::kDiff}});
+      }
+    }
+  }
+  return cells;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// Reference-vs-batch: every cell of a batch - any subset of cells, in any
+// order, at any thread count - gets exactly the scores and victim groups
+// of its own per-cell pass.
+TEST(Pipeline, AttackBatchMatchesThePerCellReference) {
+  const std::vector<AttackCell> universe = oracle_cell_universe();
+  PipelineConfig cfg = small_pipeline_config();
+  cfg.threads = 1;
+  Pipeline serial(cfg);
+  cfg.threads = 4;
+  Pipeline wide(cfg);
+  Rng pick = Rng::stream(7, 0);
+  for (double damage : {0.0, 60.0, 210.0}) {
+    std::vector<ReferencePass> reference;
+    for (const AttackCell& cell : universe) {
+      reference.push_back(reference_attack_pass(serial, damage, cell));
+    }
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<std::size_t> order(universe.size());
+      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+      pick.shuffle(order);
+      order.resize(1 + pick.uniform_int(order.size()));
+      std::vector<AttackCell> cells;
+      for (std::size_t i : order) cells.push_back(universe[i]);
+      for (Pipeline* p : {&serial, &wide}) {
+        SCOPED_TRACE("D=" + std::to_string(damage) + " trial " +
+                     std::to_string(trial) + " threads=" +
+                     std::to_string(p->config().threads));
+        std::vector<int> groups;
+        const auto batch = p->attack_batch(damage, cells, &groups);
+        ASSERT_EQ(batch.size(), cells.size());
+        for (std::size_t ci = 0; ci < cells.size(); ++ci) {
+          const ReferencePass& ref = reference[order[ci]];
+          ASSERT_EQ(batch[ci].size(), ref.scores.size());
+          for (std::size_t si = 0; si < ref.scores.size(); ++si) {
+            EXPECT_TRUE(same_bits(batch[ci][si], ref.scores[si]))
+                << "cell " << order[ci] << " scorer " << si;
+          }
+          EXPECT_EQ(groups, ref.victim_groups);
+        }
+      }
+    }
+  }
+}
+
+// The batch keeps the per-cell argument checks: a bad D, or a bad x or an
+// empty scorer list in any one cell, rejects the whole batch.
+TEST(Pipeline, AttackBatchRejectsABadCellAnywhere) {
+  Pipeline p(small_pipeline_config());
+  const std::vector<AttackCell> universe = oracle_cell_universe();
+  const std::vector<AttackCell> good(universe.begin(), universe.begin() + 5);
+  EXPECT_THROW(p.attack_batch(-5.0, good), AssertionError);
+  for (std::size_t at = 0; at <= good.size(); ++at) {
+    SCOPED_TRACE("bad cell at " + std::to_string(at));
+    for (double x : {1.5, -0.2}) {
+      std::vector<AttackCell> cells = good;
+      cells.insert(cells.begin() + static_cast<std::ptrdiff_t>(at),
+                   {MetricKind::kDiff, AttackClass::kDecOnly, x,
+                    {MetricKind::kDiff}});
+      EXPECT_THROW(p.attack_batch(60.0, cells), AssertionError);
+    }
+    std::vector<AttackCell> cells = good;
+    cells.insert(cells.begin() + static_cast<std::ptrdiff_t>(at),
+                 {MetricKind::kProb, AttackClass::kDecBounded, 0.1, {}});
+    EXPECT_THROW(p.attack_batch(60.0, cells), AssertionError);
   }
 }
 

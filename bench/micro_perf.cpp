@@ -9,6 +9,8 @@
 //     (BM_NeighborQuery) and batched (BM_ObserveMany/BM_ObserveGrid) —
 //     the docs/PERFORMANCE.md before/after surface;
 //   * end-to-end Detector::check and MLE localization;
+//   * one victim's five x budgets as five greedy_taint calls against one
+//     ladder walk (BM_GreedyTaintLadder);
 //   * the attack pass per (victim, cell), one pass per cell against one
 //     batch per D (BM_AttackPass, the docs/PERFORMANCE.md attack table).
 #include <benchmark/benchmark.h>
@@ -226,6 +228,47 @@ void BM_GreedyTaint(benchmark::State& state) {
 BENCHMARK(BM_GreedyTaint)
     ->ArgNames({"metric", "class", "x_pct"})
     ->ArgsProduct({{0, 1, 2}, {0, 1}, {10, 50}});
+
+/// The five budgets of attack-grid's x sweep (5, 10, 20, 30, 50%) for one
+/// victim, as five greedy_taint calls (ladder = 0) or as one
+/// greedy_taint_ladder walk (ladder = 1).  Same victims and claims as
+/// BM_GreedyTaint; time is per victim, all five budgets.
+void BM_GreedyTaintLadder(benchmark::State& state) {
+  const MetricKind metric = static_cast<MetricKind>(state.range(0));
+  const AttackClass cls = static_cast<AttackClass>(state.range(1));
+  const SampledInputs& in = bench_inputs();
+  std::vector<ExpectedObservation> mus;
+  std::vector<std::vector<int>> budgets;
+  for (std::size_t i = 0; i < in.observations.size(); ++i) {
+    mus.push_back(bench_model().expected_observation(
+        in.locations[i] + Vec2{120.0, 0.0}, bench_gz()));
+    budgets.emplace_back();
+    for (double x : {0.05, 0.1, 0.2, 0.3, 0.5}) {
+      budgets.back().push_back(static_cast<int>(
+          std::lround(x * in.observations[i].total())));
+    }
+  }
+  const int m = bench_config().nodes_per_group;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    if (state.range(2) == 0) {
+      for (int x : budgets[i]) {
+        benchmark::DoNotOptimize(
+            greedy_taint(in.observations[i], mus[i], m, metric, cls, x));
+      }
+    } else {
+      greedy_taint_ladder(in.observations[i], mus[i], m, metric, cls,
+                          budgets[i],
+                          [](std::size_t, const Observation& o, int) {
+                            benchmark::DoNotOptimize(o.counts.data());
+                          });
+    }
+    i = (i + 1) % in.observations.size();
+  }
+}
+BENCHMARK(BM_GreedyTaintLadder)
+    ->ArgNames({"metric", "class", "ladder"})
+    ->ArgsProduct({{0, 1, 2}, {0, 1}, {0, 1}});
 
 void BM_MleLocalize(benchmark::State& state) {
   const BeaconlessMleLocalizer mle(bench_model(), bench_gz());

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <queue>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -22,22 +24,16 @@ int binomial_mode(int m, double p) {
   return std::clamp(mode, 0, m);
 }
 
-/// Per-group metric term t_i(v) for the separable metrics.
-double group_term(MetricKind metric, int v, double mu_i, int m) {
-  switch (metric) {
-    case MetricKind::kDiff:
-      return std::abs(static_cast<double>(v) - mu_i);
-    case MetricKind::kAddAll:
-      return std::max(static_cast<double>(v), mu_i);
-    case MetricKind::kProb:
-      return prob_metric_group_score(v, mu_i, m);
-  }
-  LAD_REQUIRE_MSG(false, "invalid metric");
-  return 0.0;  // unreachable
+/// Per-group metric term t_i(v) for the separable metrics (Diff, Add-all).
+double separable_term(MetricKind metric, int v, double mu_i) {
+  return metric == MetricKind::kDiff
+             ? std::abs(static_cast<double>(v) - mu_i)
+             : std::max(static_cast<double>(v), mu_i);
 }
 
 /// Best integer value >= lo for group i (the free-increase target).
-int best_value_at_least(MetricKind metric, int lo, double mu_i, int m) {
+int best_value_at_least(MetricKind metric, int lo, double mu_i, int m,
+                        const ProbTable* prob, std::size_t i) {
   switch (metric) {
     case MetricKind::kDiff: {
       const int target = static_cast<int>(std::lround(mu_i));
@@ -46,62 +42,97 @@ int best_value_at_least(MetricKind metric, int lo, double mu_i, int m) {
     case MetricKind::kAddAll:
       // Increasing o_i never lowers max(o_i, mu_i); keep it where it is.
       return lo;
-    case MetricKind::kProb: {
-      const double p = std::clamp(mu_i / static_cast<double>(m), 0.0, 1.0);
-      return std::max(lo, binomial_mode(m, p));
-    }
+    case MetricKind::kProb:
+      return std::max(lo, binomial_mode(m, prob->p(i)));
   }
   LAD_REQUIRE_MSG(false, "invalid metric");
   return lo;  // unreachable
 }
 
-/// Greedy budgeted decrements for the separable metrics (Diff, Add-all):
-/// repeatedly take the decrement with the largest marginal reduction.
-/// Group terms are convex in v, so marginal gains are non-increasing and
-/// the exchange argument makes this optimal.
-int decrement_separable(MetricKind metric, Observation& o,
-                        const ExpectedObservation& mu, int m, int x) {
+/// Greedy decrements for the separable metrics (Diff, Add-all): each step
+/// takes the decrement with the largest marginal reduction.  Group terms
+/// are convex in v, so marginal gains are non-increasing and the exchange
+/// argument makes this optimal.
+class SeparableWalk {
+ public:
+  SeparableWalk(MetricKind metric, const Observation& o,
+                const ExpectedObservation& mu)
+      : metric_(metric), mu_(mu) {
+    for (std::size_t i = 0; i < mu.size(); ++i) {
+      const double g = gain_of(o, i);
+      if (g > 0) heap_.push({g, i});
+    }
+  }
+
+  /// Makes the next decrement in `o`; false once no decrement helps.
+  bool step(Observation& o) {
+    while (!heap_.empty()) {
+      const Cand top = heap_.top();
+      heap_.pop();
+      // Re-validate: the stored gain may be stale after earlier decrements.
+      const double g = gain_of(o, top.group);
+      if (g <= 0) continue;
+      if (g < top.gain) {
+        heap_.push({g, top.group});
+        continue;
+      }
+      --o.counts[top.group];
+      const double next = gain_of(o, top.group);
+      if (next > 0) heap_.push({next, top.group});
+      return true;
+    }
+    return false;
+  }
+
+ private:
   struct Cand {
     double gain;
     std::size_t group;
     bool operator<(const Cand& other) const { return gain < other.gain; }
   };
-  auto gain_of = [&](std::size_t i) {
-    if (o.counts[i] <= 0) return -1.0;
-    return group_term(metric, o.counts[i], mu[i], m) -
-           group_term(metric, o.counts[i] - 1, mu[i], m);
-  };
-  std::priority_queue<Cand> heap;
-  for (std::size_t i = 0; i < mu.size(); ++i) {
-    const double g = gain_of(i);
-    if (g > 0) heap.push({g, i});
-  }
-  int spent = 0;
-  while (spent < x && !heap.empty()) {
-    const Cand top = heap.top();
-    heap.pop();
-    // Re-validate: the stored gain may be stale after earlier decrements.
-    const double g = gain_of(top.group);
-    if (g <= 0) continue;
-    if (g < top.gain) {
-      heap.push({g, top.group});
-      continue;
-    }
-    --o.counts[top.group];
-    ++spent;
-    const double next = gain_of(top.group);
-    if (next > 0) heap.push({next, top.group});
-  }
-  return spent;
-}
 
-/// Greedy budgeted decrements for the Prob metric (a max over unimodal
-/// group terms): lower the current arg-max while a decrement helps.  The
+  double gain_of(const Observation& o, std::size_t i) const {
+    if (o.counts[i] <= 0) return -1.0;
+    return separable_term(metric_, o.counts[i], mu_[i]) -
+           separable_term(metric_, o.counts[i] - 1, mu_[i]);
+  }
+
+  MetricKind metric_;
+  const ExpectedObservation& mu_;
+  std::priority_queue<Cand> heap_;
+};
+
+/// Greedy decrements for the Prob metric (a max over unimodal group
+/// terms): each step lowers the current arg-max if a decrement helps.  The
 /// arg-max comes from a max-heap whose equal terms pop the lowest group
 /// index, the group a left-to-right `term[i] > term[j]` scan would pick.
 /// Only the popped group's term changes per step, so no entry goes stale.
-int decrement_prob(Observation& o, const ExpectedObservation& mu, int m,
-                   int x) {
+class ProbWalk {
+ public:
+  ProbWalk(const Observation& o, const ProbTable& prob) : prob_(prob) {
+    std::vector<Entry> entries;
+    entries.reserve(prob.size());
+    for (std::size_t i = 0; i < prob.size(); ++i) {
+      entries.push_back({prob.term(o.counts[i], i), i});
+    }
+    heap_ = std::priority_queue<Entry>(std::less<Entry>(), std::move(entries));
+  }
+
+  /// Makes the next decrement in `o`; false once no decrement helps.
+  bool step(Observation& o) {
+    if (heap_.empty()) return false;
+    const Entry top = heap_.top();
+    const std::size_t j = top.group;
+    if (o.counts[j] == 0) return false;  // cannot decrement the worst group
+    const double lower = prob_.term(o.counts[j] - 1, j);
+    if (lower >= top.term) return false;  // would not reduce the max
+    heap_.pop();
+    --o.counts[j];
+    heap_.push({lower, j});
+    return true;
+  }
+
+ private:
   struct Entry {
     double term;
     std::size_t group;
@@ -110,35 +141,31 @@ int decrement_prob(Observation& o, const ExpectedObservation& mu, int m,
       return group > other.group;
     }
   };
-  std::vector<Entry> entries;
-  entries.reserve(mu.size());
-  for (std::size_t i = 0; i < mu.size(); ++i) {
-    entries.push_back({prob_metric_group_score(o.counts[i], mu[i], m), i});
-  }
-  std::priority_queue<Entry> heap(std::less<Entry>(), std::move(entries));
-  int spent = 0;
-  while (spent < x && !heap.empty()) {
-    const Entry top = heap.top();
-    const std::size_t j = top.group;
-    if (o.counts[j] == 0) break;  // cannot decrement the worst group
-    const double lower = prob_metric_group_score(o.counts[j] - 1, mu[j], m);
-    if (lower >= top.term) break;  // decrementing would not reduce the max
-    heap.pop();
-    --o.counts[j];
-    heap.push({lower, j});
-    ++spent;
-  }
-  return spent;
-}
+
+  const ProbTable& prob_;
+  std::priority_queue<Entry> heap_;
+};
 
 }  // namespace
 
-TaintResult greedy_taint(const Observation& a, const ExpectedObservation& mu,
-                         int m, MetricKind metric, AttackClass cls, int x) {
+TaintResult greedy_taint_ladder(const Observation& a,
+                                const ExpectedObservation& mu, int m,
+                                MetricKind metric, AttackClass cls,
+                                std::span<const int> budgets,
+                                const TaintRungVisitor& visit,
+                                const ProbTable* prob) {
   LAD_REQUIRE_MSG(a.num_groups() == mu.size(),
                   "observation/expectation size mismatch");
-  LAD_REQUIRE_MSG(x >= 0, "negative budget");
+  LAD_REQUIRE_MSG(budgets.empty() || budgets.front() >= 0, "negative budget");
+  LAD_REQUIRE_MSG(std::is_sorted(budgets.begin(), budgets.end()),
+                  "ladder budgets must be non-decreasing");
   a.require_valid();
+  std::optional<ProbTable> own_prob;
+  if (metric == MetricKind::kProb) {
+    if (prob == nullptr) prob = &own_prob.emplace(mu, m);
+    LAD_REQUIRE_MSG(prob->size() == mu.size(),
+                    "Prob table/expectation size mismatch");
+  }
 
   Observation o = a;
 
@@ -146,22 +173,40 @@ TaintResult greedy_taint(const Observation& a, const ExpectedObservation& mu,
   // Dec-Bounded class.
   if (cls == AttackClass::kDecBounded) {
     for (std::size_t i = 0; i < mu.size(); ++i) {
-      o.counts[i] = best_value_at_least(metric, a.counts[i], mu[i], m);
+      o.counts[i] = best_value_at_least(metric, a.counts[i], mu[i], m, prob, i);
     }
   }
 
   // Step 2: budgeted decrements (silence attacks).  After optimal step 1
   // every beneficial decrement goes below a_i and costs exactly one
-  // compromised neighbor.
+  // compromised neighbor.  The walk steps while the next rung needs more
+  // decrements; once no decrement helps, the remaining rungs share its end.
   int spent = 0;
+  auto climb = [&](auto walk) {
+    bool walking = true;
+    for (std::size_t rung = 0; rung < budgets.size();) {
+      if (walking && spent < budgets[rung]) {
+        walking = walk.step(o);
+        if (walking) ++spent;
+        continue;
+      }
+      LAD_ASSERT(is_feasible(cls, a, o, budgets[rung]));
+      visit(rung++, o, spent);
+    }
+  };
   if (metric == MetricKind::kProb) {
-    spent = decrement_prob(o, mu, m, x);
+    climb(ProbWalk(o, *prob));
   } else {
-    spent = decrement_separable(metric, o, mu, m, x);
+    climb(SeparableWalk(metric, o, mu));
   }
-
-  LAD_ASSERT(is_feasible(cls, a, o, x));
   return {std::move(o), spent};
+}
+
+TaintResult greedy_taint(const Observation& a, const ExpectedObservation& mu,
+                         int m, MetricKind metric, AttackClass cls, int x) {
+  const int budget[] = {x};
+  return greedy_taint_ladder(a, mu, m, metric, cls, budget,
+                             [](std::size_t, const Observation&, int) {});
 }
 
 }  // namespace lad

@@ -21,7 +21,19 @@
 // applies.  For the Prob metric (a max over group terms, each unimodal in
 // o_i) the procedure lowers the current arg-max while a decrement helps,
 // which mirrors the paper's minimize-the-indicator intent.
+//
+// Prefix property: step 1 ignores the budget, and both decrement loops read
+// x only in their `spent < x` guard, so the taint at budget b is the walk's
+// state after min(b, L) decrements, where L is the length of the unbounded
+// walk.  One walk therefore serves every budget of an ascending list (the
+// compromised fractions of a sweep, or the rounds of an evolving attacker):
+// greedy_taint_ladder visits each budget's taint as the walk passes it, and
+// greedy_taint is its one-budget case.
 #pragma once
+
+#include <cstddef>
+#include <functional>
+#include <span>
 
 #include "attack/adversary.h"
 #include "core/metric.h"
@@ -38,5 +50,23 @@ struct TaintResult {
 /// observation at the planted location, `m` the nodes-per-group.
 TaintResult greedy_taint(const Observation& a, const ExpectedObservation& mu,
                          int m, MetricKind metric, AttackClass cls, int x);
+
+/// Called once per rung: the rung's index into `budgets`, the live tainted
+/// observation (valid only during the call) and the decrements spent.
+using TaintRungVisitor =
+    std::function<void(std::size_t rung, const Observation& tainted,
+                       int budget_spent)>;
+
+/// One greedy walk for a non-decreasing list of budgets: rung r sees
+/// exactly greedy_taint(a, mu, m, metric, cls, budgets[r]).  Returns the
+/// walk's end state, the taint at the last budget; greedy_taint is the
+/// call with budgets {x}.  A Prob walk reads its terms from `prob` (built
+/// from the same mu and m) when given, and builds its own table otherwise.
+TaintResult greedy_taint_ladder(const Observation& a,
+                                const ExpectedObservation& mu, int m,
+                                MetricKind metric, AttackClass cls,
+                                std::span<const int> budgets,
+                                const TaintRungVisitor& visit,
+                                const ProbTable* prob = nullptr);
 
 }  // namespace lad

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <cstddef>
+#include <utility>
 
 #include "deploy/observation.h"
 #include "stats/special.h"
@@ -30,17 +31,17 @@ MetricKind metric_from_name(const std::string& name) {
 }
 
 namespace {
-void check_sizes(const Observation& o, const ExpectedObservation& mu) {
-  LAD_REQUIRE_MSG(o.num_groups() == mu.size(),
+void check_sizes(const Observation& o, std::size_t expected_groups) {
+  LAD_REQUIRE_MSG(o.num_groups() == expected_groups,
                   "observation has " << o.num_groups()
                                      << " groups but expectation has "
-                                     << mu.size());
+                                     << expected_groups);
 }
 }  // namespace
 
 double DiffMetric::score(const Observation& o, const ExpectedObservation& mu,
                          int /*m*/) const {
-  check_sizes(o, mu);
+  check_sizes(o, mu.size());
   double dm = 0.0;
   for (std::size_t i = 0; i < mu.size(); ++i) {
     dm += std::abs(static_cast<double>(o.counts[i]) - mu[i]);
@@ -50,7 +51,7 @@ double DiffMetric::score(const Observation& o, const ExpectedObservation& mu,
 
 double AddAllMetric::score(const Observation& o, const ExpectedObservation& mu,
                            int /*m*/) const {
-  check_sizes(o, mu);
+  check_sizes(o, mu.size());
   double am = 0.0;
   for (std::size_t i = 0; i < mu.size(); ++i) {
     am += std::max(static_cast<double>(o.counts[i]), mu[i]);
@@ -59,21 +60,35 @@ double AddAllMetric::score(const Observation& o, const ExpectedObservation& mu,
 }
 
 double prob_metric_group_score(int count, double mu_i, int m) {
-  LAD_REQUIRE_MSG(m > 0, "m must be positive");
-  double p = mu_i / static_cast<double>(m);
-  p = std::clamp(p, 0.0, 1.0);
-  const double lp = log_binomial_pmf(count, m, p);
-  if (std::isinf(lp)) {
-    // Impossible count (e.g. o_i > 0 where p == 0): maximally anomalous,
-    // but kept finite so scores stay orderable and trainable.
-    return 1e12;
+  const double p = detail::prob_p(mu_i, m);
+  return detail::prob_group_term(count, m, p, [p] {
+    return std::pair{std::log(p), std::log1p(-p)};
+  });
+}
+
+ProbTable::ProbTable(const ExpectedObservation& mu, int m) : m_(m) {
+  groups_.reserve(mu.size());
+  for (double mu_i : mu) {
+    const double p = detail::prob_p(mu_i, m);
+    // The logs of p in {0, 1} are never read: skip -inf and its FP flag.
+    const bool interior = p > 0.0 && p < 1.0;
+    groups_.push_back({p, interior ? std::log(p) : 0.0,
+                       interior ? std::log1p(-p) : 0.0});
   }
-  return -lp;
+}
+
+double ProbTable::score(const Observation& o) const {
+  check_sizes(o, groups_.size());
+  double worst = 0.0;
+  for (std::size_t i = 0; i < groups_.size(); ++i) {
+    worst = std::max(worst, term(o.counts[i], i));
+  }
+  return worst;
 }
 
 double ProbMetric::score(const Observation& o, const ExpectedObservation& mu,
                          int m) const {
-  check_sizes(o, mu);
+  check_sizes(o, mu.size());
   // Alarm when min_i Pr(X_i = o_i) is small  <=>  max_i -log Pr is large.
   double worst = 0.0;
   for (std::size_t i = 0; i < mu.size(); ++i) {
@@ -84,7 +99,7 @@ double ProbMetric::score(const Observation& o, const ExpectedObservation& mu,
 
 double ProbMetric::min_probability(const Observation& o,
                                    const ExpectedObservation& mu, int m) {
-  check_sizes(o, mu);
+  check_sizes(o, mu.size());
   double min_p = 1.0;
   for (std::size_t i = 0; i < mu.size(); ++i) {
     const double p = std::clamp(mu[i] / static_cast<double>(m), 0.0, 1.0);

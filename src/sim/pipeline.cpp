@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <span>
 #include <sstream>
 
@@ -286,16 +287,44 @@ std::vector<std::vector<std::vector<double>>> Pipeline::attack_batch(
   const std::size_t k = static_cast<std::size_t>(config_.victims_per_network);
   const int m = config_.deploy.nodes_per_group;
 
-  // scorer_impls[cell][scorer], scores[cell][scorer][network * k + victim]
+  // scorer_impls[cell][scorer], scores[cell][scorer][network * k + victim];
+  // a Prob scorer reads the victim's ProbTable instead of its impl.
   std::vector<std::vector<std::unique_ptr<Metric>>> scorer_impls(cells.size());
   std::vector<std::vector<std::vector<double>>> scores(cells.size());
+  bool needs_prob = false;
   for (std::size_t ci = 0; ci < cells.size(); ++ci) {
+    needs_prob = needs_prob || cells[ci].metric == MetricKind::kProb;
     for (MetricKind kind : cells[ci].scorers) {
+      needs_prob = needs_prob || kind == MetricKind::kProb;
       scorer_impls[ci].push_back(make_metric(kind));
       scores[ci].emplace_back(nnet * k, 0.0);
     }
   }
   if (victim_groups != nullptr) victim_groups->assign(nnet * k, 0);
+
+  // One budget ladder per (metric, class): its cells in ascending x, so
+  // their budgets round(x |a|) ascend too and one greedy walk per victim
+  // serves them all (the prefix property in attack/greedy.h).
+  std::vector<std::vector<std::size_t>> ladders;
+  for (std::size_t ci = 0; ci < cells.size(); ++ci) {
+    auto same_walk = [&](const std::vector<std::size_t>& l) {
+      return cells[l.front()].metric == cells[ci].metric &&
+             cells[l.front()].attack_class == cells[ci].attack_class;
+    };
+    auto it = std::find_if(ladders.begin(), ladders.end(), same_walk);
+    if (it == ladders.end()) {
+      ladders.push_back({ci});
+    } else {
+      it->push_back(ci);
+    }
+  }
+  for (std::vector<std::size_t>& ladder : ladders) {
+    std::stable_sort(ladder.begin(), ladder.end(),
+                     [&](std::size_t lhs, std::size_t rhs) {
+                       return cells[lhs].compromised_frac <
+                              cells[rhs].compromised_frac;
+                     });
+  }
 
   std::vector<std::size_t> victims;
   std::vector<Vec2> les;
@@ -310,25 +339,40 @@ std::vector<std::vector<std::vector<double>>> Pipeline::attack_batch(
         net.observe_many(std::span<const std::size_t>(
                              victims.data() + ni * k + v_lo, v_hi - v_lo),
                          batch);
+        std::vector<int> budgets;
         for (std::size_t v = v_lo; v < v_hi; ++v) {
+          const std::size_t slot = ni * k + v;
           const Observation a = batch.to_observation(v - v_lo);
           const ExpectedObservation mu =
-              model_.expected_observation(les[ni * k + v], gz_);
-          for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-            const AttackCell& cell = cells[ci];
-            // Step 3: tainted observation minimizing the metric.
-            const int budget = static_cast<int>(
-                std::lround(cell.compromised_frac * a.total()));
-            const TaintResult taint = greedy_taint(
-                a, mu, m, cell.metric, cell.attack_class, budget);
-            for (std::size_t si = 0; si < scorer_impls[ci].size(); ++si) {
-              scores[ci][si][ni * k + v] =
-                  scorer_impls[ci][si]->score(taint.tainted, mu, m);
+              model_.expected_observation(les[slot], gz_);
+          const int neighbors = a.total();
+          std::optional<ProbTable> prob;
+          if (needs_prob) prob.emplace(mu, m);
+          for (const std::vector<std::size_t>& ladder : ladders) {
+            budgets.clear();
+            for (std::size_t ci : ladder) {
+              budgets.push_back(static_cast<int>(
+                  std::lround(cells[ci].compromised_frac * neighbors)));
             }
+            const AttackCell& walk = cells[ladder.front()];
+            // Step 3: tainted observation minimizing the metric.
+            greedy_taint_ladder(
+                a, mu, m, walk.metric, walk.attack_class, budgets,
+                [&](std::size_t rung, const Observation& tainted, int) {
+                  const std::size_t ci = ladder[rung];
+                  for (std::size_t si = 0; si < scorer_impls[ci].size();
+                       ++si) {
+                    scores[ci][si][slot] =
+                        cells[ci].scorers[si] == MetricKind::kProb
+                            ? prob->score(tainted)
+                            : scorer_impls[ci][si]->score(tainted, mu, m);
+                  }
+                },
+                prob ? &*prob : nullptr);
           }
           if (victim_groups != nullptr) {
-            (*victim_groups)[ni * k + v] =
-                model_.nearest_group(net.position(victims[ni * k + v]));
+            (*victim_groups)[slot] =
+                model_.nearest_group(net.position(victims[slot]));
           }
         }
       });

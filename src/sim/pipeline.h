@@ -12,8 +12,10 @@
 // moves it.  So one attack batch per D draws the victims and planted Les
 // once, observes each victim and computes mu at its Le once, then runs
 // every requested (metric, class, x) cell's taint and scorers against
-// them.  A cell's scores are the same whether it runs alone or in a batch
-// with others.
+// them.  Cells that share (metric, class) share one greedy walk, a budget
+// ladder over their x values (attack/greedy.h), and every Prob taint and
+// scorer of a victim reads one ProbTable.  A cell's scores are the same
+// whether it runs alone or in a batch with others.
 //
 // Networks are generated once per pipeline (deterministically from the
 // seed) and shared read-only across threads; each sampling pass derives

@@ -1517,26 +1517,33 @@ ScenarioResult ScenarioRunState::run_evolve(const ShardRange& shard) {
           mus.push_back(dep.model.expected_observation(claim, dep.gz));
         }
         // Round r: the same victims re-assert the same claim, but the
-        // attacker has corrupted `initial + r * step` beacons by now (the
-        // greedy taint with a growing absolute budget is monotone, so
-        // round r+1's taint extends round r's).
-        for (int round = 0; round < spec.evolve_rounds; ++round) {
-          const int corrupted = spec.evolve_initial + round * spec.evolve_step;
-          int detected = 0;
-          for (std::size_t t = 0; t < draw.nodes.size(); ++t) {
-            const TaintResult taint = greedy_taint(
-                draw.batch.to_observation(t), mus[t],
-                dep.dcfg.nodes_per_group, dep.metric, cls, corrupted);
-            if (dep.detector.check(taint.tainted, draw.claims[t]).anomaly) {
-              ++detected;
-            }
-          }
+        // attacker has corrupted `initial + r * step` beacons by now.  The
+        // budgets ascend, so one greedy walk per trial visits every
+        // round's taint (round r+1's taint extends round r's).
+        const auto rounds = static_cast<std::size_t>(spec.evolve_rounds);
+        std::vector<int> corrupted(rounds);
+        for (std::size_t round = 0; round < rounds; ++round) {
+          corrupted[round] =
+              spec.evolve_initial + static_cast<int>(round) * spec.evolve_step;
+        }
+        std::vector<int> detected(rounds, 0);
+        for (std::size_t t = 0; t < draw.nodes.size(); ++t) {
+          greedy_taint_ladder(
+              draw.batch.to_observation(t), mus[t], dep.dcfg.nodes_per_group,
+              dep.metric, cls, corrupted,
+              [&](std::size_t round, const Observation& tainted, int) {
+                if (dep.detector.check(tainted, draw.claims[t]).anomaly) {
+                  ++detected[round];
+                }
+              });
+        }
+        for (std::size_t round = 0; round < rounds; ++round) {
           sink.row(1)
               .add(attack_class_name(cls))
               .add(d, 0)
-              .add(round)
-              .add(corrupted)
-              .add(static_cast<double>(detected) / spec.trials, 3);
+              .add(static_cast<int>(round))
+              .add(corrupted[round])
+              .add(static_cast<double>(detected[round]) / spec.trials, 3);
         }
       });
     }

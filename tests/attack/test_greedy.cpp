@@ -4,8 +4,14 @@
 
 #include "util/assert.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <queue>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "attack/adversary.h"
@@ -329,6 +335,189 @@ TEST(GreedyProbOracle, TiedMaximaGoToTheLowestGroupFirst) {
       greedy_taint(Observation(std::vector<int>{12, 12, 12}), {5.0, 5.0, 5.0},
                    m, MetricKind::kProb, AttackClass::kDecOnly, 1);
   EXPECT_EQ(one.tainted.counts, (std::vector<int>{11, 12, 12}));
+}
+
+// ---------------------------------------------------------------------------
+// Oracle: the budget ladder against a retained copy of the one-budget
+// greedy taint it replaced.  One walk over ascending budgets must visit,
+// at every rung, exactly the taint and budget_spent of a fresh
+// budget-limited run at that rung's budget.
+// ---------------------------------------------------------------------------
+
+/// The reference separable decrements: the budget-limited loop as it stood
+/// before the ladder, max-heap of gains with stale-entry revalidation.
+int reference_decrement_separable(MetricKind metric, Observation& o,
+                                  const ExpectedObservation& mu, int x) {
+  struct Cand {
+    double gain;
+    std::size_t group;
+    bool operator<(const Cand& other) const { return gain < other.gain; }
+  };
+  auto term = [&](int v, double mu_i) {
+    return metric == MetricKind::kDiff
+               ? std::abs(static_cast<double>(v) - mu_i)
+               : std::max(static_cast<double>(v), mu_i);
+  };
+  auto gain_of = [&](std::size_t i) {
+    if (o.counts[i] <= 0) return -1.0;
+    return term(o.counts[i], mu[i]) - term(o.counts[i] - 1, mu[i]);
+  };
+  std::priority_queue<Cand> heap;
+  for (std::size_t i = 0; i < mu.size(); ++i) {
+    const double g = gain_of(i);
+    if (g > 0) heap.push({g, i});
+  }
+  int spent = 0;
+  while (spent < x && !heap.empty()) {
+    const Cand top = heap.top();
+    heap.pop();
+    const double g = gain_of(top.group);
+    if (g <= 0) continue;
+    if (g < top.gain) {
+      heap.push({g, top.group});
+      continue;
+    }
+    --o.counts[top.group];
+    ++spent;
+    const double next = gain_of(top.group);
+    if (next > 0) heap.push({next, top.group});
+  }
+  return spent;
+}
+
+/// The reference one-budget taint: step 1's free increases, then the
+/// reference decrements of the metric.
+TaintResult reference_taint(const Observation& a, const ExpectedObservation& mu,
+                            int m, MetricKind metric, AttackClass cls, int x) {
+  Observation o = a;
+  if (cls == AttackClass::kDecBounded) {
+    for (std::size_t i = 0; i < mu.size(); ++i) {
+      int target = o.counts[i];
+      if (metric == MetricKind::kDiff) {
+        target = static_cast<int>(std::lround(mu[i]));
+      } else if (metric == MetricKind::kProb) {
+        const double p = std::clamp(mu[i] / m, 0.0, 1.0);
+        target = std::clamp(static_cast<int>(std::floor((m + 1) * p)), 0, m);
+      }
+      o.counts[i] = std::max(o.counts[i], target);
+    }
+  }
+  const int spent = metric == MetricKind::kProb
+                        ? reference_decrement_prob(o, mu, m, x)
+                        : reference_decrement_separable(metric, o, mu, x);
+  return {std::move(o), spent};
+}
+
+/// The ladder over `budgets` (one walk) against one reference call per
+/// budget, and greedy_taint against the same reference.
+void expect_ladder_matches_reference(const Observation& a,
+                                     const ExpectedObservation& mu, int m,
+                                     MetricKind metric, AttackClass cls,
+                                     const std::vector<int>& budgets) {
+  std::vector<TaintResult> seen;
+  greedy_taint_ladder(a, mu, m, metric, cls, budgets,
+                      [&](std::size_t rung, const Observation& o, int spent) {
+                        ASSERT_EQ(rung, seen.size());
+                        seen.push_back({o, spent});
+                      });
+  ASSERT_EQ(seen.size(), budgets.size());
+  for (std::size_t r = 0; r < budgets.size(); ++r) {
+    const TaintResult expected =
+        reference_taint(a, mu, m, metric, cls, budgets[r]);
+    ASSERT_EQ(seen[r].tainted.counts, expected.tainted.counts)
+        << "rung " << r << " budget " << budgets[r];
+    ASSERT_EQ(seen[r].budget_spent, expected.budget_spent)
+        << "rung " << r << " budget " << budgets[r];
+    const TaintResult single = greedy_taint(a, mu, m, metric, cls, budgets[r]);
+    ASSERT_EQ(single.tainted.counts, expected.tainted.counts)
+        << "greedy_taint at budget " << budgets[r];
+    ASSERT_EQ(single.budget_spent, expected.budget_spent)
+        << "greedy_taint at budget " << budgets[r];
+  }
+}
+
+TEST_P(GreedyPropertyTest, LadderOverEveryBudgetMatchesOneReferencePerBudget) {
+  Rng rng(1800 + std::get<0>(GetParam()) * 10 + std::get<1>(GetParam()));
+  const int m = 40;
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 1 + rng.uniform_int(std::uint64_t{10});
+    Observation a = random_observation(n, 25, rng);
+    ExpectedObservation mu = random_mu(n, 25.0, rng);
+    if (trial % 4 == 0) mu[0] = 0.0;                 // Prob's 1e12 term
+    if (trial % 4 == 1) mu[n - 1] = 2.0 * m;         // p clamped to 1
+    if (trial % 4 == 2) {
+      for (std::size_t i = 0; i < n; ++i) {         // ties everywhere
+        a.counts[i] = 6 * static_cast<int>(rng.uniform_int(std::uint64_t{3}));
+        mu[i] = 4.0 * static_cast<double>(1 + rng.uniform_int(std::uint64_t{2}));
+      }
+    }
+    // Every budget from 0 to past what the walk can spend.
+    const int top = reference_taint(a, mu, m, metric(), cls(), 0).tainted.total();
+    std::vector<int> budgets;
+    for (int x = 0; x <= top + 2; ++x) budgets.push_back(x);
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    expect_ladder_matches_reference(a, mu, m, metric(), cls(), budgets);
+  }
+}
+
+TEST_P(GreedyPropertyTest, LadderHandlesRepeatsZerosAndUnspendableBudgets) {
+  Rng rng(2300 + std::get<0>(GetParam()) * 10 + std::get<1>(GetParam()));
+  const int m = 60;
+  const std::vector<std::vector<int>> lists = {
+      {0},       {0, 0, 0},     {0, 3, 3, 7},   {2, 2, 5, 5, 5, 9},
+      {1, 1000}, {500, 501, 501}, {0, 1, 2, 200, 200}, {}};
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::size_t n = 1 + rng.uniform_int(std::uint64_t{9});
+    const Observation a = random_observation(n, 30, rng);
+    const ExpectedObservation mu = random_mu(n, 30.0, rng);
+    for (const std::vector<int>& budgets : lists) {
+      SCOPED_TRACE(testing::Message() << "trial " << trial << " list of "
+                                      << budgets.size());
+      expect_ladder_matches_reference(a, mu, m, metric(), cls(), budgets);
+    }
+  }
+}
+
+TEST_P(GreedyPropertyTest, LadderWithACallerProbTableMatchesItsOwn) {
+  Rng rng(2700 + std::get<0>(GetParam()) * 10 + std::get<1>(GetParam()));
+  const int m = 60;
+  const std::vector<int> budgets = {0, 2, 5, 5, 11, 40};
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::size_t n = 1 + rng.uniform_int(std::uint64_t{9});
+    const Observation a = random_observation(n, 30, rng);
+    const ExpectedObservation mu = random_mu(n, 30.0, rng);
+    const ProbTable table(mu, m);
+    std::vector<Observation> own, given;
+    greedy_taint_ladder(
+        a, mu, m, metric(), cls(), budgets,
+        [&](std::size_t, const Observation& o, int) { own.push_back(o); });
+    greedy_taint_ladder(
+        a, mu, m, metric(), cls(), budgets,
+        [&](std::size_t, const Observation& o, int) { given.push_back(o); },
+        &table);
+    EXPECT_EQ(own, given) << "trial " << trial;
+  }
+}
+
+TEST(GreedyLadder, RejectsDescendingOrNegativeBudgets) {
+  const Observation a(std::vector<int>{4, 2});
+  const ExpectedObservation mu = {1.0, 3.0};
+  const auto ignore = [](std::size_t, const Observation&, int) {};
+  for (const MetricKind metric :
+       {MetricKind::kDiff, MetricKind::kAddAll, MetricKind::kProb}) {
+    for (const std::vector<int>& budgets :
+         {std::vector<int>{3, 2}, std::vector<int>{0, 4, 1},
+          std::vector<int>{-1, 2}}) {
+      EXPECT_THROW(greedy_taint_ladder(a, mu, 10, metric,
+                                       AttackClass::kDecOnly, budgets, ignore),
+                   AssertionError);
+    }
+  }
+  const ProbTable wrong_size({1.0, 3.0, 5.0}, 10);
+  EXPECT_THROW(greedy_taint_ladder(a, mu, 10, MetricKind::kProb,
+                                   AttackClass::kDecOnly, std::vector<int>{1},
+                                   ignore, &wrong_size),
+               AssertionError);
 }
 
 TEST(Greedy, ZeroGroupsReturnTheEmptyObservation) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "deploy/observation.h"
+#include "rng/rng.h"
 #include "stats/special.h"
 #include "util/assert.h"
 
@@ -105,6 +109,69 @@ TEST(ProbMetric, GroupScoreMatchesLogPmf) {
               -log_binomial_pmf(4, 10, 0.3), 1e-12);
   // Count above m is impossible -> huge score.
   EXPECT_GE(prob_metric_group_score(11, 3.0, 10), 1e12);
+}
+
+/// The Prob group term as it stood before ProbTable: -log_binomial_pmf,
+/// with impossible counts capped at 1e12.
+double reference_prob_group_score(int count, double mu_i, int m) {
+  const double p = std::clamp(mu_i / static_cast<double>(m), 0.0, 1.0);
+  const double lp = log_binomial_pmf(count, m, p);
+  return std::isinf(lp) ? 1e12 : -lp;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Oracle: ProbTable's term and score against prob_metric_group_score,
+// ProbMetric::score and the pre-table reference, bit for bit - signed
+// zeros, the 1e12 cap and the p in {0, 1} branches included.
+TEST(ProbTable, BitEqualToTheGroupScoreAndTheReference) {
+  Rng rng = Rng::stream(1818, 0);
+  for (const int m : {1, 7, 40, 300, 1000}) {
+    for (int trial = 0; trial < 30; ++trial) {
+      const std::size_t n = 1 + rng.uniform_int(std::uint64_t{12});
+      ExpectedObservation mu(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        switch (rng.uniform_int(std::uint64_t{5})) {
+          case 0: mu[i] = 0.0; break;                      // p == 0
+          case 1: mu[i] = m * rng.uniform(1.0, 3.0); break;  // p clamped to 1
+          case 2: mu[i] = static_cast<double>(m); break;     // p == 1 exactly
+          case 3: mu[i] = -rng.uniform(0.0, 5.0); break;     // clamped to 0
+          default: mu[i] = rng.uniform(0.0, static_cast<double>(m));
+        }
+      }
+      const ProbTable table(mu, m);
+      ASSERT_EQ(table.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (int count = -3; count <= m + 3; ++count) {
+          const double term = table.term(count, i);
+          ASSERT_TRUE(same_bits(term, prob_metric_group_score(count, mu[i], m)))
+              << "m " << m << " mu " << mu[i] << " count " << count;
+          ASSERT_TRUE(
+              same_bits(term, reference_prob_group_score(count, mu[i], m)))
+              << "m " << m << " mu " << mu[i] << " count " << count;
+        }
+      }
+      Observation o(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        o.counts[i] = static_cast<int>(rng.uniform_int(0ll, m));
+      }
+      EXPECT_TRUE(same_bits(table.score(o), ProbMetric().score(o, mu, m)));
+    }
+  }
+}
+
+TEST(ProbTable, KeepsTheSignedZeroAndTheChecks) {
+  const ProbTable table({0.0, 10.0}, 10);
+  EXPECT_TRUE(same_bits(table.term(0, 0), -0.0));   // p == 0, count 0
+  EXPECT_TRUE(same_bits(table.term(10, 1), -0.0));  // p == 1, count m
+  EXPECT_EQ(table.term(1, 0), 1e12);
+  EXPECT_EQ(table.term(9, 1), 1e12);
+  EXPECT_THROW(ProbTable({1.0}, 0), AssertionError);
+  EXPECT_THROW(ProbTable({std::nan("")}, 10), AssertionError);
+  EXPECT_THROW(prob_metric_group_score(1, std::nan(""), 10), AssertionError);
+  EXPECT_THROW(table.score(Observation(std::vector<int>{1})), AssertionError);
 }
 
 TEST(Metrics, AllGrowWithDisplacementDistance) {

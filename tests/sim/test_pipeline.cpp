@@ -466,6 +466,37 @@ TEST(Pipeline, AttackBatchMatchesThePerCellReference) {
   }
 }
 
+// One ladder per (metric, class): cells that share a walk, listed with x
+// descending and repeated, still get their own per-cell scores - the
+// batch's sort, not the caller's order, sets the rungs.
+TEST(Pipeline, AttackBatchLadderIgnoresTheCallersXOrder) {
+  PipelineConfig cfg = small_pipeline_config();
+  cfg.threads = 2;
+  Pipeline p(cfg);
+  const std::vector<double> xs = {1.0, 0.35, 0.35, 0.1, 0.0, 0.1, 0.0};
+  for (MetricKind metric :
+       {MetricKind::kDiff, MetricKind::kAddAll, MetricKind::kProb}) {
+    for (AttackClass cls : {AttackClass::kDecBounded, AttackClass::kDecOnly}) {
+      std::vector<AttackCell> cells;
+      for (double x : xs) {
+        cells.push_back({metric, cls, x, {metric, MetricKind::kProb}});
+      }
+      SCOPED_TRACE(std::string(metric_name(metric)) + " " +
+                   attack_class_name(cls));
+      const auto batch = p.attack_batch(120.0, cells);
+      ASSERT_EQ(batch.size(), cells.size());
+      for (std::size_t ci = 0; ci < cells.size(); ++ci) {
+        const ReferencePass ref = reference_attack_pass(p, 120.0, cells[ci]);
+        for (std::size_t si = 0; si < ref.scores.size(); ++si) {
+          EXPECT_TRUE(same_bits(batch[ci][si], ref.scores[si]))
+              << "cell " << ci << " x " << cells[ci].compromised_frac
+              << " scorer " << si;
+        }
+      }
+    }
+  }
+}
+
 // The batch keeps the per-cell argument checks: a bad D, or a bad x or an
 // empty scorer list in any one cell, rejects the whole batch.
 TEST(Pipeline, AttackBatchRejectsABadCellAnywhere) {

@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the performance claims that
 // matter on sensor-class hardware:
 //   * Section 3.3: the g(z) table lookup is constant-time and cheap,
-//     versus the "quite complicated" exact integral;
+//     versus the "quite complicated" exact integral; the table build
+//     itself, serial and on four threads (BM_GzTableBuild);
 //   * metric evaluation cost per detection decision;
 //   * the Section 7.1 greedy taint per metric and attack class;
 //   * expected-observation computation (n table lookups);
@@ -85,6 +86,24 @@ void BM_GzTableLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GzTableLookup);
+
+/// The Section 3.3 table build at the paper's parameters (R = sigma = 50,
+/// omega = 256): omega + 1 exact integrals, sampled on `threads` threads
+/// of the shared pool.  The "g(z) table build" stage of a pipeline.
+void BM_GzTableBuild(benchmark::State& state) {
+  const GzParams params{bench_config().radio_range, bench_config().sigma};
+  const int threads = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    const GzTable gz(params, 256, threads);
+    benchmark::DoNotOptimize(gz.values().data());
+  }
+}
+BENCHMARK(BM_GzTableBuild)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ExpectedObservation(benchmark::State& state) {
   const DeploymentModel& model = bench_model();

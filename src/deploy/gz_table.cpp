@@ -5,10 +5,10 @@
 
 namespace lad {
 
-GzTable::GzTable(const GzParams& params, int omega)
+GzTable::GzTable(const GzParams& params, int omega, int threads)
     : params_(params),
       table_([&params](double z) { return gz_exact(z, params); }, 0.0,
-             gz_support_radius(params), omega) {
+             gz_support_radius(params), omega, threads) {
   LAD_REQUIRE_MSG(omega >= 8, "omega < 8 gives useless accuracy");
 }
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "deploy/gz.h"
 #include "geom/vec2.h"
@@ -20,7 +21,9 @@ class GzTable {
   /// need to be very large"; 256 gives max abs error ~1e-5 for the paper's
   /// parameters (measured by
   /// `lad_cli run --scenario bench/scenarios/tab_gz_accuracy.scn`).
-  explicit GzTable(const GzParams& params, int omega = 256);
+  /// `threads` > 1 samples the omega+1 points on the shared pool; the
+  /// table is bit-identical at every thread count.
+  explicit GzTable(const GzParams& params, int omega = 256, int threads = 1);
 
   /// g at scalar distance z (constant-time lookup).
   double operator()(double z) const;
@@ -31,6 +34,8 @@ class GzTable {
 
   const GzParams& params() const { return params_; }
   int omega() const { return table_.omega(); }
+  /// The omega+1 sampled points: g at support_radius() * i / omega.
+  const std::vector<double>& values() const { return table_.values(); }
   double support_radius() const { return table_.hi(); }
 
   /// Max absolute interpolation error vs the exact integral (for tests and

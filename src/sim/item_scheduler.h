@@ -59,8 +59,7 @@ class ItemScheduler {
 
   void run() {
     // Each closure catches into its own entry: an exception must not
-    // escape into the parallel region (std::terminate under OpenMP) and
-    // must not abort the other items' work.
+    // abort the other items' work.
     parallel_for_items(
         entries_.size(),
         [&](std::size_t i) {

@@ -2,10 +2,6 @@
 
 #include <thread>
 
-#ifdef LAD_HAVE_OPENMP
-#include <omp.h>
-#endif
-
 #include "util/assert.h"
 #include "util/env.h"
 #include "util/thread_pool.h"
@@ -32,54 +28,26 @@ int env_thread_override() {
 int default_parallelism() {
   const int pinned = env_thread_override();
   if (pinned > 0) return pinned;
-#ifdef LAD_HAVE_OPENMP
-  return omp_get_max_threads();
-#else
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
-#endif
+}
+
+int resolve_threads(int threads) {
+  // A negative count used to be silently treated as "use all cores" —
+  // exactly what a caller computing threads from a subtraction would
+  // least expect.  Reject it by name instead.
+  LAD_REQUIRE_MSG(threads >= 0,
+                  "thread count must be >= 0 (0 = default parallelism), "
+                  "got "
+                      << threads);
+  return threads > 0 ? threads : default_parallelism();
 }
 
 void parallel_for_items(std::size_t n,
                         const std::function<void(std::size_t)>& fn,
                         int max_threads) {
-  // A negative count used to be silently treated as "use all cores" —
-  // exactly what a caller computing threads from a subtraction would
-  // least expect.  Reject it by name instead.
-  LAD_REQUIRE_MSG(max_threads >= 0,
-                  "parallel_for_items: max_threads must be >= 0 "
-                  "(0 = default parallelism), got "
-                      << max_threads);
-  if (n == 0) return;
-  const int threads = max_threads > 0 ? max_threads : default_parallelism();
-  if (threads == 1 || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-#ifdef LAD_HAVE_OPENMP
-  // Exceptions must not escape an OpenMP region; capture and rethrow.
-  std::exception_ptr first_error = nullptr;
-#pragma omp parallel for schedule(dynamic, 1) num_threads(threads)
-  for (long long i = 0; i < static_cast<long long>(n); ++i) {
-    try {
-      fn(static_cast<std::size_t>(i));
-    } catch (...) {
-#pragma omp critical(lad_parallel_error)
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-#else
-  // One process-wide pool, grown on demand and reused across calls: a
-  // scenario sweep issues thousands of these loops, and spawning/joining
-  // a fresh pool per call dominated the small passes.  The caller
-  // participates in the loop, so `threads`-wide execution needs only
-  // threads-1 pool workers, and nested loops (scenario jobs running
-  // pipeline passes) cannot deadlock.
-  ThreadPool& pool = ThreadPool::shared();
-  pool.ensure_workers(static_cast<std::size_t>(threads) - 1);
-  pool.parallel_for(0, n, fn, static_cast<std::size_t>(threads));
-#endif
+  const int threads = resolve_threads(max_threads);
+  parallel_for_shared(n, fn, static_cast<std::size_t>(threads));
 }
 
 }  // namespace lad

@@ -1,11 +1,12 @@
 // Parallel-for over independent simulation work items.
 //
-// Uses OpenMP when compiled in (dynamic schedule: network generation and
-// MLE search have variable cost per item), otherwise the process-wide
-// shared ThreadPool (grown on demand, reused across calls, caller
-// participates).  Work items must be independent (CP.2): callers write results into
-// pre-sized slots indexed by the item id, so no synchronization is needed,
-// and determinism comes from per-item RNG streams, never from scheduling.
+// Runs on the process-wide shared ThreadPool (grown on demand, reused
+// across calls, caller participates; util/thread_pool.h), handing items
+// out one at a time: network generation and MLE search have variable cost
+// per item.  Work items must be independent (CP.2): callers write results
+// into pre-sized slots indexed by the item id, so no synchronization is
+// needed, and determinism comes from per-item RNG streams, never from
+// scheduling.
 #pragma once
 
 #include <cstddef>
@@ -21,10 +22,15 @@ namespace lad {
 void parallel_for_items(std::size_t n, const std::function<void(std::size_t)>& fn,
                         int max_threads = 0);
 
+/// A configured thread count as a worker count: `threads` itself when
+/// positive, default_parallelism() at 0.  Negative counts are the same
+/// named error as in parallel_for_items.
+int resolve_threads(int threads);
+
 /// Number of workers parallel_for_items would use by default: the
 /// LAD_THREADS environment pin when set (an integer in [1, 4096]; any
 /// other value present is a named error — benches and CI rely on the pin
-/// for reproducible thread counts), otherwise the hardware/OpenMP count.
+/// for reproducible thread counts), otherwise the hardware count.
 int default_parallelism();
 
 }  // namespace lad

@@ -61,7 +61,7 @@ void for_each_victim_span(
     const std::function<void(std::size_t ni, std::size_t v_lo,
                              std::size_t v_hi)>& body) {
   const std::size_t total = nnet * k;
-  const int width = threads > 0 ? threads : default_parallelism();
+  const int width = resolve_threads(threads);
   const std::size_t nchunks =
       std::min(total, static_cast<std::size_t>(width) * 4);
   const std::size_t chunk = (total + nchunks - 1) / nchunks;
@@ -116,7 +116,8 @@ Pipeline::Pipeline(const PipelineConfig& config)
       model_(DeploymentModel::make(config.shape, config.deploy,
                                    config.seed ^ 0x53485045ull /*"SHPE"*/)),
       actual_model_(make_actual_model(model_, config)),
-      gz_({config.deploy.radio_range, config.deploy.sigma}, config.gz_omega) {
+      gz_({config.deploy.radio_range, config.deploy.sigma}, config.gz_omega,
+          resolve_threads(config.threads)) {
   LAD_REQUIRE_MSG(config.networks > 0, "need at least one network");
   LAD_REQUIRE_MSG(config.victims_per_network > 0,
                   "need at least one victim per network");

@@ -53,6 +53,7 @@
 #include "sim/item_scheduler.h"
 #include "sim/kind_table.h"
 #include "sim/latched_cache.h"
+#include "sim/parallel.h"
 #include "sim/pipeline.h"
 #include "stats/quantile.h"
 #include "stats/roc.h"
@@ -148,16 +149,19 @@ PipelineConfig density_pipeline_config(const PipelineConfig& base, int m) {
 }
 
 /// The one deployed network the single-network kinds (correction, echo,
-/// evolve, coop) run on.  It consumes the head of Rng(seed); `rng` is
-/// left at the post-construction state, where their shared draws continue.
+/// evolve, coop) run on.  It consumes the head of Rng(config.seed); `rng`
+/// is left at the post-construction state, where their shared draws
+/// continue.  The g(z) table and every per-trial loop run on
+/// config.threads threads.
 struct Deployed {
-  Deployed(const DeploymentConfig& config, std::uint64_t seed)
-      : dcfg(config),
-        model(config),
-        gz({config.radio_range, config.sigma}),
+  explicit Deployed(const PipelineConfig& config)
+      : dcfg(config.deploy),
+        threads(resolve_threads(config.threads)),
+        model(dcfg),
+        gz({dcfg.radio_range, dcfg.sigma}, 256, threads),
         // lad-lint: allow(rng-construct) -- historical root stream of the
         // shared network; re-keying would change every golden CSV.
-        rng(seed),
+        rng(config.seed),
         net(model, rng) {}
   Deployed(const Deployed&) = delete;
   Deployed& operator=(const Deployed&) = delete;
@@ -189,7 +193,16 @@ struct Deployed {
     return out;
   }
 
+  /// Runs fn(t) for every trial t in [0, n) on `threads` threads.  All rng
+  /// draws happen before (draw_trials); fn writes trial t's slot only, and
+  /// callers reduce the slots in trial order.
+  void for_each_trial(std::size_t n,
+                      const std::function<void(std::size_t)>& fn) const {
+    parallel_for_items(n, fn, threads);
+  }
+
   const DeploymentConfig& dcfg;
+  const int threads;  ///< config.threads, resolved (0 = default)
   const DeploymentModel model;
   const GzTable gz;
   Rng rng;
@@ -201,7 +214,7 @@ struct Deployed {
 /// stream, localized by the beaconless MLE, thresholded at tau.
 struct TrainedDeployment : Deployed {
   explicit TrainedDeployment(const ScenarioSpec& spec)
-      : Deployed(spec.pipeline.deploy, spec.pipeline.seed),
+      : Deployed(spec.pipeline),
         metric(spec.metrics.front()),
         threshold(train(spec.train_samples, spec.tau)),
         detector(model, gz, metric, threshold) {}
@@ -220,14 +233,13 @@ struct TrainedDeployment : Deployed {
     }
     ObservationBatch batch;
     net.observe_many(nodes, batch);
-    std::vector<double> scores;
-    scores.reserve(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
+    std::vector<double> scores(nodes.size());
+    for_each_trial(nodes.size(), [&](std::size_t i) {
       const Observation obs = batch.to_observation(i);
-      scores.push_back(scorer->score(
+      scores[i] = scorer->score(
           obs, model.expected_observation(localizer.estimate(obs), gz),
-          dcfg.nodes_per_group));
-    }
+          dcfg.nodes_per_group);
+    });
     return train_threshold(metric, scores, tau).threshold;
   }
 };
@@ -1116,7 +1128,7 @@ ScenarioResult ScenarioRunState::run_correction(const ShardRange& shard) {
   const MetricKind target = spec.metrics.front();
   const int trials = spec.trials;
 
-  const Deployed dep(spec.pipeline.deploy, seed);
+  const Deployed dep(spec.pipeline);
   const LocationCorrector corrector(dep.model, dep.gz);
 
   ItemScheduler sched(result, spec.jobs);
@@ -1128,12 +1140,14 @@ ScenarioResult ScenarioRunState::run_correction(const ShardRange& shard) {
     sched.add(0, [rng = dep.rng, trials, &dep, &corrector](ItemSink& sink) {
       Rng floor_rng = rng;
       const Deployed::Trials draw = dep.draw_trials(floor_rng, trials, -1.0);
-      RunningStats floor;
-      for (std::size_t t = 0; t < draw.nodes.size(); ++t) {
-        floor.add(distance(
+      std::vector<double> errs(draw.nodes.size());
+      dep.for_each_trial(errs.size(), [&](std::size_t t) {
+        errs[t] = distance(
             corrector.correct(draw.batch.to_observation(t)).corrected,
-            dep.net.position(draw.nodes[t])));
-      }
+            dep.net.position(draw.nodes[t]));
+      });
+      RunningStats floor;
+      for (double e : errs) floor.add(e);
       sink.row(0).add(floor.mean(), 1).add(floor.max(), 1).add(trials);
     });
   }
@@ -1149,17 +1163,17 @@ ScenarioResult ScenarioRunState::run_correction(const ShardRange& shard) {
         // so distinct cells never share a stream.
         Rng trial_rng = Rng::stream(seed, static_cast<std::uint64_t>(item));
         const Deployed::Trials draw = dep.draw_trials(trial_rng, trials, d);
-        std::vector<double> errs;
-        for (std::size_t t = 0; t < draw.nodes.size(); ++t) {
+        std::vector<double> errs(draw.nodes.size());
+        dep.for_each_trial(errs.size(), [&](std::size_t t) {
           const Observation a = draw.batch.to_observation(t);
           const ExpectedObservation mu =
               dep.model.expected_observation(draw.claims[t], dep.gz);
           const TaintResult taint =
               greedy_taint(a, mu, dep.dcfg.nodes_per_group, target, cls,
                            static_cast<int>(x * a.total()));
-          errs.push_back(distance(corrector.correct(taint.tainted).corrected,
-                                  dep.net.position(draw.nodes[t])));
-        }
+          errs[t] = distance(corrector.correct(taint.tainted).corrected,
+                             dep.net.position(draw.nodes[t]));
+        });
         double mean = 0.0;
         int recovered = 0;
         for (double e : errs) {
@@ -1212,13 +1226,17 @@ ScenarioResult ScenarioRunState::run_echo(const ShardRange& shard) {
     ++item;
     if (!shard.contains(item)) continue;
     sched.add(item, [this, item, d, seed, x, &echo, &dep](ItemSink& sink) {
-      int rejected = 0, accepted = 0, uncovered = 0, lad_detected = 0;
       // Keyed by item id (see run_correction): damage values never collide
       // with each other or with the shared training stream.
       Rng trial_rng = Rng::stream(seed, static_cast<std::uint64_t>(item));
       const Deployed::Trials draw =
           dep.draw_trials(trial_rng, spec.trials, d);
-      for (std::size_t t = 0; t < draw.nodes.size(); ++t) {
+      struct Trial {
+        int verdict;  ///< echo: 1 accepted, 0 uncovered, -1 rejected
+        bool lad_detected;
+      };
+      std::vector<Trial> out(draw.nodes.size());
+      dep.for_each_trial(out.size(), [&](std::size_t t) {
         const Vec2 la = dep.net.position(draw.nodes[t]);
         const Vec2 claimed = draw.claims[t];
 
@@ -1229,9 +1247,6 @@ ScenarioResult ScenarioRunState::run_echo(const ShardRange& shard) {
         if (verdict == -1) {
           verdict = echo.verify(claimed, la, 10.0) == 1 ? 1 : -1;
         }
-        if (verdict == 0) ++uncovered;
-        else if (verdict == 1) ++accepted;
-        else ++rejected;
 
         const Observation a = draw.batch.to_observation(t);
         const ExpectedObservation mu =
@@ -1239,9 +1254,14 @@ ScenarioResult ScenarioRunState::run_echo(const ShardRange& shard) {
         const TaintResult taint = greedy_taint(
             a, mu, dep.dcfg.nodes_per_group, dep.metric, spec.attacks.front(),
             static_cast<int>(x * a.total()));
-        if (dep.detector.check(taint.tainted, claimed).anomaly) {
-          ++lad_detected;
-        }
+        out[t] = {verdict, dep.detector.check(taint.tainted, claimed).anomaly};
+      });
+      int rejected = 0, accepted = 0, uncovered = 0, lad_detected = 0;
+      for (const Trial& trial : out) {
+        if (trial.verdict == 0) ++uncovered;
+        else if (trial.verdict == 1) ++accepted;
+        else ++rejected;
+        if (trial.lad_detected) ++lad_detected;
       }
       sink.row(1)
           .add(d, 0)
@@ -1511,11 +1531,6 @@ ScenarioResult ScenarioRunState::run_evolve(const ShardRange& shard) {
         Rng trial_rng = Rng::stream(seed, static_cast<std::uint64_t>(item));
         const Deployed::Trials draw =
             dep.draw_trials(trial_rng, spec.trials, d);
-        std::vector<ExpectedObservation> mus;
-        mus.reserve(draw.claims.size());
-        for (const Vec2& claim : draw.claims) {
-          mus.push_back(dep.model.expected_observation(claim, dep.gz));
-        }
         // Round r: the same victims re-assert the same claim, but the
         // attacker has corrupted `initial + r * step` beacons by now.  The
         // budgets ascend, so one greedy walk per trial visits every
@@ -1526,16 +1541,21 @@ ScenarioResult ScenarioRunState::run_evolve(const ShardRange& shard) {
           corrupted[round] =
               spec.evolve_initial + static_cast<int>(round) * spec.evolve_step;
         }
-        std::vector<int> detected(rounds, 0);
-        for (std::size_t t = 0; t < draw.nodes.size(); ++t) {
+        // Trial t's verdict at round r lands in slot t * rounds + r.
+        std::vector<char> anomaly(draw.nodes.size() * rounds, 0);
+        dep.for_each_trial(draw.nodes.size(), [&](std::size_t t) {
           greedy_taint_ladder(
-              draw.batch.to_observation(t), mus[t], dep.dcfg.nodes_per_group,
-              dep.metric, cls, corrupted,
+              draw.batch.to_observation(t),
+              dep.model.expected_observation(draw.claims[t], dep.gz),
+              dep.dcfg.nodes_per_group, dep.metric, cls, corrupted,
               [&](std::size_t round, const Observation& tainted, int) {
-                if (dep.detector.check(tainted, draw.claims[t]).anomaly) {
-                  ++detected[round];
-                }
+                anomaly[t * rounds + round] =
+                    dep.detector.check(tainted, draw.claims[t]).anomaly;
               });
+        });
+        std::vector<int> detected(rounds, 0);
+        for (std::size_t i = 0; i < anomaly.size(); ++i) {
+          if (anomaly[i]) ++detected[i % rounds];
         }
         for (std::size_t round = 0; round < rounds; ++round) {
           sink.row(1)
@@ -1580,40 +1600,50 @@ ScenarioResult ScenarioRunState::run_coop(const ShardRange& shard) {
     const Deployed::Trials draw = dep.draw_trials(trial_rng, spec.trials, d);
     const Network& net = dep.net;
 
-    int solo = 0, coop = 0;
-    long long votes = 0, anomalous_votes = 0, voters_total = 0;
-    for (std::size_t t = 0; t < draw.nodes.size(); ++t) {
+    struct Trial {
+      bool solo;           ///< the LAD detector flags the claim
+      long long standing;  ///< voters with radio evidence
+      long long bad;       ///< of those, anomalous votes
+    };
+    std::vector<Trial> out(draw.nodes.size());  // value-initialized: zeros
+    dep.for_each_trial(out.size(), [&](std::size_t t) {
       const std::size_t node = draw.nodes[t];
       const Vec2 claim = draw.claims[t];
       const Observation a = draw.batch.to_observation(t);
+      Trial& trial = out[t];
       if (d < 0) {
-        if (dep.detector.check(a, claim).anomaly) ++solo;
+        trial.solo = dep.detector.check(a, claim).anomaly;
       } else {
         const ExpectedObservation mu =
             dep.model.expected_observation(claim, dep.gz);
         const TaintResult taint =
             greedy_taint(a, mu, dep.dcfg.nodes_per_group, dep.metric, cls,
                          static_cast<int>(x * a.total()));
-        if (dep.detector.check(taint.tainted, claim).anomaly) ++solo;
+        trial.solo = dep.detector.check(taint.tainted, claim).anomaly;
       }
       const std::vector<std::size_t> nearby =
           net.nodes_within(claim, spec.coop_radius, node);
-      long long standing = 0, bad = 0;
       for (std::size_t v : nearby) {
         const double range = net.tx_range(node);
         const bool expected = distance(net.position(v), claim) <= range;
         const bool actual =
             distance(net.position(v), net.position(node)) <= range;
         if (!expected && !actual) continue;  // no evidence either way
-        ++standing;
-        if (expected != actual) ++bad;
+        ++trial.standing;
+        if (expected != actual) ++trial.bad;
       }
-      votes += standing;
-      anomalous_votes += bad;
-      voters_total += standing;
-      if (standing > 0 &&
-          static_cast<double>(bad) >=
-              spec.coop_majority * static_cast<double>(standing)) {
+    });
+
+    int solo = 0, coop = 0;
+    long long votes = 0, anomalous_votes = 0, voters_total = 0;
+    for (const Trial& trial : out) {
+      if (trial.solo) ++solo;
+      votes += trial.standing;
+      anomalous_votes += trial.bad;
+      voters_total += trial.standing;
+      if (trial.standing > 0 &&
+          static_cast<double>(trial.bad) >=
+              spec.coop_majority * static_cast<double>(trial.standing)) {
         ++coop;
       }
     }

@@ -4,19 +4,24 @@
 #include <cmath>
 
 #include "util/assert.h"
+#include "util/thread_pool.h"
 
 namespace lad {
 
 InterpTable::InterpTable(const std::function<double(double)>& f, double lo,
-                         double hi, int omega)
+                         double hi, int omega, int threads)
     : lo_(lo), hi_(hi) {
   LAD_REQUIRE_MSG(hi > lo, "interpolation range is empty");
   LAD_REQUIRE_MSG(omega >= 1, "need at least one sub-range");
+  LAD_REQUIRE_MSG(threads >= 1, "need at least one thread, got " << threads);
   values_.resize(static_cast<std::size_t>(omega) + 1);
   const double step = (hi - lo) / omega;
-  for (int i = 0; i <= omega; ++i) {
-    values_[static_cast<std::size_t>(i)] = f(lo + step * i);
-  }
+  parallel_for_shared(
+      values_.size(),
+      [&](std::size_t i) {
+        values_[i] = f(lo + step * static_cast<double>(i));
+      },
+      static_cast<std::size_t>(threads));
   inv_step_ = omega / (hi - lo);
 }
 

@@ -13,9 +13,12 @@ namespace lad {
 
 class InterpTable {
  public:
-  /// Samples f at omega+1 equally spaced points on [lo, hi].
+  /// Samples f at omega+1 equally spaced points on [lo, hi], on up to
+  /// `threads` threads of the shared pool (f must then be safe to call
+  /// concurrently).  Each point is f(lo + step * i) whatever the thread
+  /// count, so the values are bit-identical; threads = 1 samples inline.
   InterpTable(const std::function<double(double)>& f, double lo, double hi,
-              int omega);
+              int omega, int threads = 1);
 
   /// Builds from precomputed values (values.size() == omega + 1).
   InterpTable(std::vector<double> values, double lo, double hi);

@@ -31,9 +31,9 @@ void ThreadPool::ensure_workers(std::size_t n) {
 }
 
 ThreadPool& ThreadPool::shared() {
-  // Starts at one worker; parallel_for_items grows it to the requested
-  // width per call (LAD_THREADS is re-checked there, so a pin raised
-  // mid-process takes effect on the next loop).
+  // Starts at one worker; parallel_for_shared grows it to the requested
+  // width per call (parallel_for_items re-checks LAD_THREADS, so a pin
+  // raised mid-process takes effect on the next loop).
   static ThreadPool pool(1);
   return pool;
 }
@@ -116,6 +116,21 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   loop->cv.wait(lock,
                 [&] { return loop->active.load(std::memory_order_acquire) == 0; });
   if (loop->error) std::rethrow_exception(loop->error);
+}
+
+void parallel_for_shared(std::size_t n,
+                         const std::function<void(std::size_t)>& fn,
+                         std::size_t threads) {
+  if (threads <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  // The caller participates in the loop, so `threads`-wide execution
+  // needs only threads-1 pool workers, and nested loops (scenario jobs
+  // running pipeline passes, which run per-trial loops) cannot deadlock.
+  ThreadPool& pool = ThreadPool::shared();
+  pool.ensure_workers(threads - 1);
+  pool.parallel_for(0, n, fn, threads);
 }
 
 }  // namespace lad

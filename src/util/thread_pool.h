@@ -1,7 +1,7 @@
 // Persistent thread pool with a dynamically-chunked parallel_for.
 //
-// The Monte-Carlo engine prefers OpenMP when available; this pool is the
-// portable fallback and is also used directly by a few tests to validate
+// Every parallel loop of the library runs on this pool, through
+// parallel_for_shared below; a few tests also use it directly to validate
 // thread-count-independent determinism (results must not depend on how work
 // is scheduled, only on per-trial seeds).
 //
@@ -19,9 +19,9 @@
 //    inner iterations in place and helpers join only if they are free.
 //
 // Process-wide reuse: ThreadPool::shared() returns a lazily-created
-// singleton that parallel_for_items() grows on demand (sim/parallel.cpp),
-// so a scenario sweep issuing thousands of small loops does not pay a
-// thread spawn/join per call.  The singleton is joined during static
+// singleton that parallel_for_shared() grows on demand, so a scenario
+// sweep issuing thousands of small loops does not pay a thread spawn/join
+// per call.  The singleton is joined during static
 // destruction, never leaked, so sanitizer runs stay clean.
 #pragma once
 
@@ -67,7 +67,7 @@ class ThreadPool {
                     const std::function<void(std::size_t)>& fn,
                     std::size_t max_workers = 0);
 
-  /// The process-wide pool used by parallel_for_items.  Created on first
+  /// The process-wide pool used by parallel_for_shared.  Created on first
   /// use, grown on demand via ensure_workers, joined at static
   /// destruction.
   static ThreadPool& shared();
@@ -100,5 +100,15 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stop_ = false;
 };
+
+/// Runs fn(i) for i in [0, n) on at most `threads` threads, counting the
+/// caller, and blocks until done.  At `threads` <= 1 or n <= 1 the loop
+/// runs inline on the caller and never touches the pool; otherwise the
+/// shared pool grows to threads - 1 workers and runs the loop.  The one
+/// dispatch rule of sim's parallel_for_items and of InterpTable's sampling
+/// build.
+void parallel_for_shared(std::size_t n,
+                         const std::function<void(std::size_t)>& fn,
+                         std::size_t threads);
 
 }  // namespace lad

@@ -67,6 +67,13 @@ TEST(ParallelForItems, NegativeMaxThreadsIsANamedError) {
   EXPECT_FALSE(called);
 }
 
+TEST(ParallelForItems, ResolveThreadsKeepsPositiveCountsAndNamesNegatives) {
+  EXPECT_EQ(resolve_threads(1), 1);
+  EXPECT_EQ(resolve_threads(7), 7);
+  EXPECT_EQ(resolve_threads(0), default_parallelism());
+  EXPECT_THROW(resolve_threads(-1), AssertionError);
+}
+
 class LadThreadsEnvTest : public ::testing::Test {
  protected:
   void SetUp() override {

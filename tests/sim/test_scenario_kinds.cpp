@@ -242,6 +242,61 @@ TEST(ScenarioRunnerKinds, ShardsPartitionTheNewKinds) {
   }
 }
 
+// Every table's CSV bytes and row item tags, in emission order.
+std::string result_bytes(const ScenarioResult& result) {
+  std::ostringstream os;
+  for (const ResultTable& t : result.tables) {
+    os << "# " << t.id << "\n";
+    t.table.print_csv(os);
+    for (long long item : t.row_items) os << item << ",";
+    os << "\n";
+  }
+  return os.str();
+}
+
+// The single-network kinds fan their trials out on pipeline.threads and
+// reduce the per-trial slots in trial order.  37 trials (and 41 training
+// samples) split unevenly over any pool width; jobs 4 runs the items
+// concurrently, so each item's trial loop nests on the shared pool.  The
+// bytes must not depend on either count.
+TEST(ScenarioRunnerKinds, SingleNetworkKindsMatchAcrossThreadsAndJobs) {
+  const std::string specs[] = {
+      "[scenario]\nname = corr\nexperiment = correction\n" +
+          std::string(kPipeline) +
+          "[sweep]\nattacks = dec-only, dec-bounded\ndamages = 80, 160\n"
+          "compromised = 0.10\n[correction]\ntrials = 37\n",
+      "[scenario]\nname = echo\nexperiment = echo-comparison\n" +
+          std::string(kPipeline) +
+          "[sweep]\ndamages = 80, 160\ncompromised = 0.10\n"
+          "[echo]\ntrials = 37\ngrid_x = 3\ngrid_y = 3\nrange = 200\n"
+          "train_samples = 41\n",
+      evolve_spec("[sweep]\nattacks = dec-bounded, dec-only\ndamages = 120\n"
+                  "[evolve]\ntrials = 37\nrounds = 3\nstep = 4\n"
+                  "train_samples = 41\n"),
+      coop_spec("[sweep]\ndamages = 60, 240\ncompromised = 0.10\n"
+                "[coop]\ntrials = 37\nradius = 120\ntrain_samples = 41\n"),
+  };
+  for (const std::string& text : specs) {
+    ScenarioSpec spec = parse(text);
+    SCOPED_TRACE(spec.name);
+    spec.pipeline.threads = 1;
+    spec.jobs = 1;
+    const ScenarioResult reference = ScenarioRunner(spec).run();
+    for (const ResultTable& t : reference.tables) {
+      EXPECT_GT(t.table.num_rows(), 0u) << t.id;
+    }
+    const std::string serial = result_bytes(reference);
+    for (int threads : {1, 4}) {
+      for (int jobs : {1, 4}) {
+        spec.pipeline.threads = threads;
+        spec.jobs = jobs;
+        EXPECT_EQ(result_bytes(ScenarioRunner(spec).run()), serial)
+            << "threads " << threads << ", jobs " << jobs;
+      }
+    }
+  }
+}
+
 // --- golden CSVs for the checked-in specs ------------------------------
 
 #ifdef LAD_SCENARIO_DIR

@@ -63,5 +63,20 @@ TEST(InterpTable, RejectsBadConstruction) {
   EXPECT_THROW(InterpTable(std::vector<double>{1.0}, 0.0, 1.0), AssertionError);
 }
 
+TEST(InterpTable, ThreadedSamplingMatchesTheSerialBuild) {
+  auto f = [](double x) { return std::exp(-x) * std::sin(3.0 * x); };
+  const InterpTable serial(f, -1.0, 2.5, 97);
+  for (int threads : {2, 4}) {
+    const InterpTable threaded(f, -1.0, 2.5, 97, threads);
+    EXPECT_EQ(threaded.values(), serial.values()) << "threads " << threads;
+  }
+}
+
+TEST(InterpTable, RejectsANonPositiveThreadCount) {
+  auto f = [](double x) { return x; };
+  EXPECT_THROW(InterpTable(f, 0.0, 1.0, 4, 0), AssertionError);
+  EXPECT_THROW(InterpTable(f, 0.0, 1.0, 4, -2), AssertionError);
+}
+
 }  // namespace
 }  // namespace lad

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace lad {
@@ -117,6 +118,41 @@ TEST(ThreadPool, MaxWorkersCapsParticipationNotCoverage) {
   std::vector<std::atomic<int>> hits(100);
   pool.parallel_for(0, hits.size(), [&](std::size_t i) { ++hits[i]; }, 2);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelForShared, OneThreadOrOneItemRunsInlineOnTheCaller) {
+  // A serial run must never reach the pool: every iteration runs on the
+  // calling thread, in order.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const auto& [n, threads] :
+       {std::pair<std::size_t, std::size_t>{50, 1}, {50, 0}, {1, 4}}) {
+    std::vector<std::size_t> order;
+    bool off_caller = false;
+    parallel_for_shared(
+        n,
+        [&](std::size_t i) {
+          off_caller |= std::this_thread::get_id() != caller;
+          order.push_back(i);
+        },
+        threads);
+    std::vector<std::size_t> expected(n);
+    std::iota(expected.begin(), expected.end(), std::size_t{0});
+    EXPECT_EQ(order, expected) << "n " << n << ", threads " << threads;
+    EXPECT_FALSE(off_caller) << "n " << n << ", threads " << threads;
+  }
+}
+
+TEST(ParallelForShared, WideLoopsRunEveryItemOnceOnTheSharedPool) {
+  std::vector<std::atomic<int>> hits(37);
+  parallel_for_shared(hits.size(), [&](std::size_t i) { ++hits[i]; }, 4);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_GE(ThreadPool::shared().num_threads(), 3u);
+}
+
+TEST(ParallelForShared, EmptyIsANoop) {
+  bool called = false;
+  parallel_for_shared(0, [&](std::size_t) { called = true; }, 4);
+  EXPECT_FALSE(called);
 }
 
 }  // namespace

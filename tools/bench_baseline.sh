@@ -14,6 +14,9 @@
 # hosts) and at a multithread count (default 4; export LAD_BASELINE_MT
 # to change it), so the table shows what the shared-pool fan-out buys
 # on the measuring host.  Export LAD_THREADS to change the pinned leg.
+# Each leg also reports its user+sys CPU seconds: a multithread leg whose
+# CPU time exceeds its wall time did fan out, so a flat one means the
+# other cores were busy (contention), not that the fan-out regressed.
 #
 # Portability: works without GNU date (%N) — timing falls back to whole
 # seconds — and without nproc (getconf fallback).
@@ -69,28 +72,31 @@ json="$out_dir/BENCH_baseline.json"
   printf '  "results": [\n'
 } >"$json"
 
-# time_bench <spec name> <threads> -> elapsed ns on stdout; lad_cli's
-# progress lines are kept out of the table and shown only on failure.
+# time_bench <spec name> <threads> -> "<elapsed ns> <user+sys s>" on
+# stdout; lad_cli's progress lines are kept out of the table and shown
+# only on failure.  Bash's `time` keyword reports the CPU seconds.
 time_bench() {
+  local TIMEFORMAT='%3U %3S' start end cpu
   start=$(now_ns)
-  if ! LAD_THREADS="$2" "$cli" run --scenario "$repo/bench/scenarios/$1.scn" \
-    --quick --csv >/dev/null 2>"$out_dir/.bench_baseline.err"; then
+  if ! cpu=$( { time LAD_THREADS="$2" "$cli" run \
+    --scenario "$repo/bench/scenarios/$1.scn" --quick --csv \
+    >/dev/null 2>"$out_dir/.bench_baseline.err"; } 2>&1 ); then
     cat "$out_dir/.bench_baseline.err" >&2
     exit 1
   fi
   end=$(now_ns)
-  echo $((end - start))
+  echo "$((end - start)) $(echo "$cpu" | awk '{printf "%.2f", $1 + $2}')"
 }
 
-echo "| bench (quick mode, default seed) | LAD_THREADS=$pinned (s) | LAD_THREADS=$mt (s) |"
-echo "|---|---|---|"
+echo "| bench (quick mode, default seed) | LAD_THREADS=$pinned wall (s) | cpu (s) | LAD_THREADS=$mt wall (s) | cpu (s) |"
+echo "|---|---|---|---|---|"
 first=1
 for b in $benches; do
-  ns=$(time_bench "$b" "$pinned")
-  ns_mt=$(time_bench "$b" "$mt")
-  printf "| %s | %s | %s |\n" "$b" \
-    "$(awk "BEGIN {printf \"%.2f\", $ns / 1e9}")" \
-    "$(awk "BEGIN {printf \"%.2f\", $ns_mt / 1e9}")"
+  read -r ns cpu <<<"$(time_bench "$b" "$pinned")"
+  read -r ns_mt cpu_mt <<<"$(time_bench "$b" "$mt")"
+  printf "| %s | %s | %s | %s | %s |\n" "$b" \
+    "$(awk "BEGIN {printf \"%.2f\", $ns / 1e9}")" "$cpu" \
+    "$(awk "BEGIN {printf \"%.2f\", $ns_mt / 1e9}")" "$cpu_mt"
   [ "$first" = 1 ] || printf ',\n' >>"$json"
   first=0
   printf '    {"name": "%s", "nodes": 0, "ns_per_op": %s.0, "ops": 1},\n' \
@@ -102,7 +108,8 @@ printf '\n  ]\n}\n' >>"$json"
 rm -f "$out_dir/.bench_baseline.err"
 
 echo
-echo "_Measured on: $host, $utc_date (pinned LAD_THREADS=$pinned vs $mt)._"
+echo "_Measured on: $host, $utc_date (pinned LAD_THREADS=$pinned vs $mt;"
+echo "cpu = user+sys seconds of the leg)._"
 echo
 echo "wrote $json" >&2
 

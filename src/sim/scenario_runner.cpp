@@ -193,16 +193,12 @@ struct Deployed {
     return out;
   }
 
-  /// Runs fn(t) for every trial t in [0, n) on `threads` threads.  All rng
-  /// draws happen before (draw_trials); fn writes trial t's slot only, and
-  /// callers reduce the slots in trial order.
-  void for_each_trial(std::size_t n,
-                      const std::function<void(std::size_t)>& fn) const {
-    parallel_for_items(n, fn, threads);
-  }
-
   const DeploymentConfig& dcfg;
-  const int threads;  ///< config.threads, resolved (0 = default)
+  /// config.threads, resolved (0 = default): the width of the g(z) build
+  /// and of every per-trial loop.  The loops run after draw_trials took
+  /// every rng draw; each trial writes its own slot, and the kinds reduce
+  /// the slots in trial order.
+  const int threads;
   const DeploymentModel model;
   const GzTable gz;
   Rng rng;
@@ -234,12 +230,13 @@ struct TrainedDeployment : Deployed {
     ObservationBatch batch;
     net.observe_many(nodes, batch);
     std::vector<double> scores(nodes.size());
-    for_each_trial(nodes.size(), [&](std::size_t i) {
+    const auto score_sample = [&](std::size_t i) {
       const Observation obs = batch.to_observation(i);
       scores[i] = scorer->score(
           obs, model.expected_observation(localizer.estimate(obs), gz),
           dcfg.nodes_per_group);
-    });
+    };
+    parallel_for_items(nodes.size(), score_sample, threads);
     return train_threshold(metric, scores, tau).threshold;
   }
 };
@@ -1141,11 +1138,12 @@ ScenarioResult ScenarioRunState::run_correction(const ShardRange& shard) {
       Rng floor_rng = rng;
       const Deployed::Trials draw = dep.draw_trials(floor_rng, trials, -1.0);
       std::vector<double> errs(draw.nodes.size());
-      dep.for_each_trial(errs.size(), [&](std::size_t t) {
+      const auto run_trial = [&](std::size_t t) {
         errs[t] = distance(
             corrector.correct(draw.batch.to_observation(t)).corrected,
             dep.net.position(draw.nodes[t]));
-      });
+      };
+      parallel_for_items(errs.size(), run_trial, dep.threads);
       RunningStats floor;
       for (double e : errs) floor.add(e);
       sink.row(0).add(floor.mean(), 1).add(floor.max(), 1).add(trials);
@@ -1164,7 +1162,7 @@ ScenarioResult ScenarioRunState::run_correction(const ShardRange& shard) {
         Rng trial_rng = Rng::stream(seed, static_cast<std::uint64_t>(item));
         const Deployed::Trials draw = dep.draw_trials(trial_rng, trials, d);
         std::vector<double> errs(draw.nodes.size());
-        dep.for_each_trial(errs.size(), [&](std::size_t t) {
+        const auto run_trial = [&](std::size_t t) {
           const Observation a = draw.batch.to_observation(t);
           const ExpectedObservation mu =
               dep.model.expected_observation(draw.claims[t], dep.gz);
@@ -1173,7 +1171,8 @@ ScenarioResult ScenarioRunState::run_correction(const ShardRange& shard) {
                            static_cast<int>(x * a.total()));
           errs[t] = distance(corrector.correct(taint.tainted).corrected,
                              dep.net.position(draw.nodes[t]));
-        });
+        };
+        parallel_for_items(errs.size(), run_trial, dep.threads);
         double mean = 0.0;
         int recovered = 0;
         for (double e : errs) {
@@ -1236,7 +1235,7 @@ ScenarioResult ScenarioRunState::run_echo(const ShardRange& shard) {
         bool lad_detected;
       };
       std::vector<Trial> out(draw.nodes.size());
-      dep.for_each_trial(out.size(), [&](std::size_t t) {
+      const auto run_trial = [&](std::size_t t) {
         const Vec2 la = dep.net.position(draw.nodes[t]);
         const Vec2 claimed = draw.claims[t];
 
@@ -1255,7 +1254,8 @@ ScenarioResult ScenarioRunState::run_echo(const ShardRange& shard) {
             a, mu, dep.dcfg.nodes_per_group, dep.metric, spec.attacks.front(),
             static_cast<int>(x * a.total()));
         out[t] = {verdict, dep.detector.check(taint.tainted, claimed).anomaly};
-      });
+      };
+      parallel_for_items(out.size(), run_trial, dep.threads);
       int rejected = 0, accepted = 0, uncovered = 0, lad_detected = 0;
       for (const Trial& trial : out) {
         if (trial.verdict == 0) ++uncovered;
@@ -1543,7 +1543,7 @@ ScenarioResult ScenarioRunState::run_evolve(const ShardRange& shard) {
         }
         // Trial t's verdict at round r lands in slot t * rounds + r.
         std::vector<char> anomaly(draw.nodes.size() * rounds, 0);
-        dep.for_each_trial(draw.nodes.size(), [&](std::size_t t) {
+        const auto run_trial = [&](std::size_t t) {
           greedy_taint_ladder(
               draw.batch.to_observation(t),
               dep.model.expected_observation(draw.claims[t], dep.gz),
@@ -1552,7 +1552,8 @@ ScenarioResult ScenarioRunState::run_evolve(const ShardRange& shard) {
                 anomaly[t * rounds + round] =
                     dep.detector.check(tainted, draw.claims[t]).anomaly;
               });
-        });
+        };
+        parallel_for_items(draw.nodes.size(), run_trial, dep.threads);
         std::vector<int> detected(rounds, 0);
         for (std::size_t i = 0; i < anomaly.size(); ++i) {
           if (anomaly[i]) ++detected[i % rounds];
@@ -1606,7 +1607,7 @@ ScenarioResult ScenarioRunState::run_coop(const ShardRange& shard) {
       long long bad;       ///< of those, anomalous votes
     };
     std::vector<Trial> out(draw.nodes.size());  // value-initialized: zeros
-    dep.for_each_trial(out.size(), [&](std::size_t t) {
+    const auto vote_trial = [&](std::size_t t) {
       const std::size_t node = draw.nodes[t];
       const Vec2 claim = draw.claims[t];
       const Observation a = draw.batch.to_observation(t);
@@ -1632,7 +1633,8 @@ ScenarioResult ScenarioRunState::run_coop(const ShardRange& shard) {
         ++trial.standing;
         if (expected != actual) ++trial.bad;
       }
-    });
+    };
+    parallel_for_items(out.size(), vote_trial, dep.threads);
 
     int solo = 0, coop = 0;
     long long votes = 0, anomalous_votes = 0, voters_total = 0;

@@ -9,12 +9,18 @@
 // item count, the dim columns every row starts with, the accepted [sweep]
 // lists and the item -> cell decode - derives from that list.  One shard
 // walk (KindSpec::for_each_cell) hands each decoded GridCell to the kind's
-// body, which emits the row's measured tail.  A bespoke kind keeps its own
-// item count and run function.
+// body, which emits the row's measured tail.
+//
+// A single-network kind (correction, echo-comparison, time-evolving,
+// in-network) runs trials on one deployed network.  Its rows share one
+// item count, trial_cells: a summary item, then one item per (attack, D)
+// cell, D fastest.  One shard walk (ScenarioRunState::run_cells) hands
+// each item its own rng stream, keyed by item id.  A bespoke kind keeps
+// its own item count and run function.
 //
 // Adding a kind = one ExperimentKind enumerator, one KindSpec row (a grid
-// kind's axes, or a bespoke kind's item count), one run function (a grid
-// kind's body), and its quick-mode golden CSVs.
+// kind's axes, trial_cells, or a bespoke kind's item count), one run
+// function (a grid kind's body), and its quick-mode golden CSVs.
 #pragma once
 
 #include <cstddef>
@@ -112,8 +118,9 @@ struct KindSpec {
   /// A grid kind's sweep, outermost axis first (item ids count in this
   /// order, the last axis fastest); empty for a bespoke kind.
   std::vector<detail::GridAxis> axes;
-  /// A bespoke kind's work items in the full (unsharded) expansion;
-  /// nullptr for a grid kind, whose count is the product of its axes.
+  /// A single-network or bespoke kind's work items in the full
+  /// (unsharded) expansion; nullptr for a grid kind, whose count is the
+  /// product of its axes.
   long long (*items)(const ScenarioSpec& spec);
   /// Result-table ids in emission order.
   std::vector<std::string> (*table_ids)(const ScenarioSpec& spec);

@@ -262,19 +262,6 @@ std::vector<double> Pipeline::attack_scores(const AttackSpec& spec,
           .front());
 }
 
-std::map<MetricKind, std::vector<double>> Pipeline::attack_scores_cross(
-    const AttackSpec& spec, const std::vector<MetricKind>& scorers) {
-  std::vector<std::vector<double>> scores = std::move(
-      attack_batch(spec.damage, {{spec.metric, spec.attack_class,
-                                  spec.compromised_frac, scorers}})
-          .front());
-  std::map<MetricKind, std::vector<double>> out;
-  for (std::size_t si = 0; si < scorers.size(); ++si) {
-    out[scorers[si]] = std::move(scores[si]);
-  }
-  return out;
-}
-
 std::vector<std::vector<std::vector<double>>> Pipeline::attack_batch(
     double damage, const std::vector<AttackCell>& cells,
     std::vector<int>* victim_groups) {

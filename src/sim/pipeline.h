@@ -148,13 +148,6 @@ class Pipeline {
   std::vector<double> attack_scores(const AttackSpec& spec,
                                     std::vector<int>* victim_groups = nullptr);
 
-  /// Cross-scoring: the taint is crafted to minimize spec.metric, but each
-  /// tainted observation is scored by every metric in `scorers` (same
-  /// victims, index-aligned vectors).  This is what the fusion ablation
-  /// needs: an attacker commits to one metric, the defense runs several.
-  std::map<MetricKind, std::vector<double>> attack_scores_cross(
-      const AttackSpec& spec, const std::vector<MetricKind>& scorers);
-
   /// Mean localization error of a scheme over the benign pass (diagnostic;
   /// drives the Fig. 9 density discussion).
   double mean_localization_error(const LocalizerFactory& factory);

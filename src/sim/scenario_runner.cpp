@@ -1,14 +1,15 @@
 // The experiment-kind table (sim/kind_table.h) and the ScenarioRunner that
 // executes it: each kind's row names its section, the keys it accepts, its
-// sweep axes (grid kinds) or item count (bespoke kinds), its table ids and
+// sweep axes (grid kinds) or item count (the others), its table ids and
 // its run function, which executes the expansion (or one shard of it)
 // through Pipeline.
 //
 // Work-item ids are assigned by iterating the expansion in a fixed order
-// (a grid kind's ids decode mixed-radix over its axis list), so ids are
+// (a grid kind's ids decode mixed-radix over its axis list, a
+// single-network kind's over its (attack, D) cells), so ids are
 // identical in every shard of the same spec.  All randomness is
 // keyed from the spec's seed (Philox-style sub-streams inside Pipeline;
-// explicit per-item seeds in the bespoke kinds), never from execution
+// explicit streams in the other kinds), never from execution
 // order, which is what makes shard output placement-independent.
 //
 // Pipelines / benign passes / attack batches / deployed networks are
@@ -29,6 +30,7 @@
 #include <set>
 #include <sstream>
 #include <tuple>
+#include <type_traits>
 
 #include "attack/adversary.h"
 #include "attack/displacement.h"
@@ -148,17 +150,23 @@ PipelineConfig density_pipeline_config(const PipelineConfig& base, int m) {
   return cfg;
 }
 
+/// The work items of the single-network kinds: the summary, then one item
+/// per (attack, D) cell (ScenarioRunState::run_cells walks them).
+long long trial_cells(const ScenarioSpec& spec) {
+  return 1 + len(spec.attacks) * len(spec.damages);
+}
+
 /// The one deployed network the single-network kinds (correction, echo,
 /// evolve, coop) run on.  It consumes the head of Rng(config.seed); `rng`
 /// is left at the post-construction state, where their shared draws
-/// continue.  The g(z) table and every per-trial loop run on
-/// config.threads threads.
+/// continue.  The g(z) table (at config.gz_omega) and every per-trial
+/// loop run on config.threads threads.
 struct Deployed {
   explicit Deployed(const PipelineConfig& config)
       : dcfg(config.deploy),
         threads(resolve_threads(config.threads)),
         model(dcfg),
-        gz({dcfg.radio_range, dcfg.sigma}, 256, threads),
+        gz({dcfg.radio_range, dcfg.sigma}, config.gz_omega, threads),
         // lad-lint: allow(rng-construct) -- historical root stream of the
         // shared network; re-keying would change every golden CSV.
         rng(config.seed),
@@ -166,38 +174,63 @@ struct Deployed {
   Deployed(const Deployed&) = delete;
   Deployed& operator=(const Deployed&) = delete;
 
-  /// One trial batch: in-field victims, each drawn right before its
-  /// claimed location (displaced by `d`, or the true position when
-  /// d < 0), then one observation batch over all of them.  This rng call
-  /// order is what the golden CSVs pin.
+  /// One trial batch: each trial's in-field victim, its claimed location
+  /// and its observation.
   struct Trials {
     std::vector<std::size_t> nodes;
     std::vector<Vec2> claims;
     ObservationBatch batch;
   };
-  Trials draw_trials(Rng& r, int trials, double d) const {
-    Trials out;
-    out.nodes.resize(static_cast<std::size_t>(trials));
-    out.claims.resize(out.nodes.size());
-    for (std::size_t t = 0; t < out.nodes.size(); ++t) {
+
+  /// Draws `trials` in-field victims, each right before its claimed
+  /// location (displaced by `d`, or the true position when d < 0), then
+  /// observes them all in one batch.  Only then does it run
+  /// `trial(draw, t)` for every trial on `threads` threads, each into its
+  /// own slot, so no trial can move the rng call order the golden CSVs
+  /// pin.  Returns the slots in trial order, for the caller to reduce.
+  template <class Trial>
+  auto run_trials(Rng& r, int trials, double d, const Trial& trial) const {
+    using Slot = std::invoke_result_t<const Trial&, const Trials&, std::size_t>;
+    // vector<bool> packs slots into shared words: neighbouring trials
+    // writing their own slots would race.
+    static_assert(!std::is_same_v<Slot, bool>, "use char slots, not bool");
+    Trials draw;
+    draw.nodes.resize(static_cast<std::size_t>(trials));
+    draw.claims.resize(draw.nodes.size());
+    for (std::size_t t = 0; t < draw.nodes.size(); ++t) {
       std::size_t node;
       do {
         node = static_cast<std::size_t>(r.uniform_int(net.num_nodes()));
       } while (!dcfg.field().contains(net.position(node)));
-      out.nodes[t] = node;
-      out.claims[t] = d < 0 ? net.position(node)
-                            : displaced_location(net.position(node), d,
-                                                 dcfg.field(), r);
+      draw.nodes[t] = node;
+      draw.claims[t] = d < 0 ? net.position(node)
+                             : displaced_location(net.position(node), d,
+                                                  dcfg.field(), r);
     }
-    net.observe_many(out.nodes, out.batch);
-    return out;
+    net.observe_many(draw.nodes, draw.batch);
+    std::vector<Slot> slots(draw.nodes.size());
+    parallel_for_items(
+        slots.size(), [&](std::size_t t) { slots[t] = trial(draw, t); },
+        threads);
+    return slots;
+  }
+
+  /// Trial t's observation, tainted against its claim to minimize
+  /// `metric` with x|a| compromised neighbours.  The budget truncates,
+  /// where Pipeline::attack_batch rounds the same x|a| (std::lround); the
+  /// single-network goldens pin the truncation, so the two stay apart.
+  Observation tainted(const Trials& draw, std::size_t t, MetricKind metric,
+                      AttackClass cls, double x) const {
+    const Observation a = draw.batch.to_observation(t);
+    return greedy_taint(a, model.expected_observation(draw.claims[t], gz),
+                        dcfg.nodes_per_group, metric, cls,
+                        static_cast<int>(x * a.total()))
+        .tainted;
   }
 
   const DeploymentConfig& dcfg;
   /// config.threads, resolved (0 = default): the width of the g(z) build
-  /// and of every per-trial loop.  The loops run after draw_trials took
-  /// every rng draw; each trial writes its own slot, and the kinds reduce
-  /// the slots in trial order.
+  /// and of every run_trials fan-out.
   const int threads;
   const DeploymentModel model;
   const GzTable gz;
@@ -475,6 +508,38 @@ struct ScenarioRunState {
     return result;
   }
 
+  /// A single-network kind's summary item, and its item for one
+  /// (attack, D) cell; each draws from its item's own stream `rng`.
+  using SummaryItem = std::function<void(Rng& rng, ItemSink& sink)>;
+  using CellItem =
+      std::function<void(Rng& rng, AttackClass cls, double d, ItemSink& sink)>;
+
+  /// The one shard walk of the single-network kinds (trial_cells items):
+  /// item 0 runs `summary`, items 1... run `cell` over spec.attacks x
+  /// spec.damages, D fastest.  Each item's rng is Rng::stream(seed, item):
+  /// keyed by item id, not by the (possibly fractional) damage value, so
+  /// no two items share a stream, nor an item the network's root stream.
+  void run_cells(const ShardRange& shard, ScenarioResult& result,
+                 const SummaryItem& summary, const CellItem& cell) {
+    const long long total = trial_cells(spec);
+    const std::size_t damages = spec.damages.size();
+    ItemScheduler sched(result, spec.jobs);
+    for (long long item = shard.index; item < total; item += shard.count) {
+      sched.add(item, [this, item, damages, &summary, &cell](ItemSink& sink) {
+        Rng rng =
+            Rng::stream(spec.pipeline.seed, static_cast<std::uint64_t>(item));
+        if (item == 0) {
+          summary(rng, sink);
+        } else {
+          const auto k = static_cast<std::size_t>(item - 1);
+          cell(rng, spec.attacks[k / damages], spec.damages[k % damages],
+               sink);
+        }
+      });
+    }
+    sched.run();
+  }
+
   // --- per-kind execution (one per KindSpec row) ------------------------
   ScenarioResult run_roc(const ShardRange& shard);
   ScenarioResult run_dr(const ShardRange& shard);
@@ -693,8 +758,7 @@ const std::vector<KindSpec>& kind_table() {
        [](const Spec&) { return Ids{"gz"}; }, &S::run_gz},
       {ExperimentKind::kCorrection, "correction", "correction",
        kMultiAttacks | kMultiDamages, parse_correction,
-       {{"trials", 2, 40, 0, 1, 1.0}}, {},
-       [](const Spec& s) { return 1 + len(s.attacks) * len(s.damages); },
+       {{"trials", 2, 40, 0, 1, 1.0}}, {}, trial_cells,
        [](const Spec&) { return Ids{"benign_floor", "correction"}; },
        &S::run_correction},
       {ExperimentKind::kEchoComparison, "echo-comparison", "echo",
@@ -704,8 +768,8 @@ const std::vector<KindSpec>& kind_table() {
         {"grid_y", 2, 8, 0, 1, 0.5},
         {"range", 20, 120, 0, 1, 0.5},
         {"train_samples", 20, 200, 0, 1, 0.5}},
-       {}, [](const Spec& s) { return 1 + len(s.damages); },
-       [](const Spec&) { return Ids{"meta", "echo"}; }, &S::run_echo},
+       {}, trial_cells, [](const Spec&) { return Ids{"meta", "echo"}; },
+       &S::run_echo},
       {ExperimentKind::kMetricFusion, "metric-fusion", "",
        kMultiMetrics | kKeyBundle, nullptr, {}, {},
        [](const Spec& s) { return 1 + len(s.metrics); },
@@ -730,16 +794,16 @@ const std::vector<KindSpec>& kind_table() {
         {"step", 1, 8, 0, 1, 0.5},
         {"initial", 0, 6, 0, 1, 0.5},
         {"train_samples", 20, 200, 0, 1, 0.5}},
-       {}, [](const Spec& s) { return 1 + len(s.attacks) * len(s.damages); },
-       [](const Spec&) { return Ids{"meta", "evolve"}; }, &S::run_evolve},
+       {}, trial_cells, [](const Spec&) { return Ids{"meta", "evolve"}; },
+       &S::run_evolve},
       {ExperimentKind::kInNetwork, "in-network", "coop", kMultiDamages,
        parse_coop,
        {{"trials", 2, 40, 0, 1, 0.7},
         {"radius", 40, 200, 0, 1, 0.5},
         {"majority", 0.2, 1.0, 2, 1, 0.5},
         {"train_samples", 20, 200, 0, 1, 0.5}},
-       {}, [](const Spec& s) { return 1 + len(s.damages); },
-       [](const Spec&) { return Ids{"fp", "coop"}; }, &S::run_coop},
+       {}, trial_cells, [](const Spec&) { return Ids{"fp", "coop"}; },
+       &S::run_coop},
   };
   return table;
 }
@@ -1120,59 +1184,41 @@ ScenarioResult ScenarioRunState::run_correction(const ShardRange& shard) {
                    "err_corrected_p90", "recovered_frac"}});
   if (shard_is_empty(shard)) return result;
 
-  const std::uint64_t seed = spec.pipeline.seed;
   const double x = spec.compromised.front();
   const MetricKind target = spec.metrics.front();
   const int trials = spec.trials;
 
   const Deployed dep(spec.pipeline);
   const LocationCorrector corrector(dep.model, dep.gz);
+  // Trial t's distance from its victim's true position after correcting
+  // the observation `obs`.
+  const auto error = [&](const Deployed::Trials& draw, std::size_t t,
+                         const Observation& obs) {
+    return distance(corrector.correct(obs).corrected,
+                    dep.net.position(draw.nodes[t]));
+  };
 
-  ItemScheduler sched(result, spec.jobs);
-  if (shard.contains(0)) {
-    // The benign-floor item continues the shared rng from its
-    // post-Network-construction state; the closure owns a value copy so
-    // the draw sequence matches the historical sequential run no matter
-    // when (or on which thread) the item executes.
-    sched.add(0, [rng = dep.rng, trials, &dep, &corrector](ItemSink& sink) {
-      Rng floor_rng = rng;
-      const Deployed::Trials draw = dep.draw_trials(floor_rng, trials, -1.0);
-      std::vector<double> errs(draw.nodes.size());
-      const auto run_trial = [&](std::size_t t) {
-        errs[t] = distance(
-            corrector.correct(draw.batch.to_observation(t)).corrected,
-            dep.net.position(draw.nodes[t]));
-      };
-      parallel_for_items(errs.size(), run_trial, dep.threads);
-      RunningStats floor;
-      for (double e : errs) floor.add(e);
-      sink.row(0).add(floor.mean(), 1).add(floor.max(), 1).add(trials);
-    });
-  }
-
-  long long item = 0;
-  for (AttackClass cls : spec.attacks) {
-    for (double d : spec.damages) {
-      ++item;
-      if (!shard.contains(item)) continue;
-      sched.add(item, [item, cls, d, seed, trials, x, target, &dep,
-                       &corrector](ItemSink& sink) {
-        // Keyed by item id, not by the (possibly fractional) damage value,
-        // so distinct cells never share a stream.
-        Rng trial_rng = Rng::stream(seed, static_cast<std::uint64_t>(item));
-        const Deployed::Trials draw = dep.draw_trials(trial_rng, trials, d);
-        std::vector<double> errs(draw.nodes.size());
-        const auto run_trial = [&](std::size_t t) {
-          const Observation a = draw.batch.to_observation(t);
-          const ExpectedObservation mu =
-              dep.model.expected_observation(draw.claims[t], dep.gz);
-          const TaintResult taint =
-              greedy_taint(a, mu, dep.dcfg.nodes_per_group, target, cls,
-                           static_cast<int>(x * a.total()));
-          errs[t] = distance(corrector.correct(taint.tainted).corrected,
-                             dep.net.position(draw.nodes[t]));
-        };
-        parallel_for_items(errs.size(), run_trial, dep.threads);
+  run_cells(
+      shard, result,
+      [&](Rng&, ItemSink& sink) {
+        // The benign floor continues the network's root stream from its
+        // post-construction state instead of its item stream.
+        Rng floor_rng = dep.rng;
+        RunningStats floor;
+        for (double e : dep.run_trials(
+                 floor_rng, trials, -1.0,
+                 [&](const Deployed::Trials& draw, std::size_t t) {
+                   return error(draw, t, draw.batch.to_observation(t));
+                 })) {
+          floor.add(e);
+        }
+        sink.row(0).add(floor.mean(), 1).add(floor.max(), 1).add(trials);
+      },
+      [&](Rng& rng, AttackClass cls, double d, ItemSink& sink) {
+        std::vector<double> errs = dep.run_trials(
+            rng, trials, d, [&](const Deployed::Trials& draw, std::size_t t) {
+              return error(draw, t, dep.tainted(draw, t, target, cls, x));
+            });
         double mean = 0.0;
         int recovered = 0;
         for (double e : errs) {
@@ -1192,9 +1238,6 @@ ScenarioResult ScenarioRunState::run_correction(const ShardRange& shard) {
             .add(p90, 1)
             .add(static_cast<double>(recovered) / trials, 3);
       });
-    }
-  }
-  sched.run();
   return result;
 }
 
@@ -1205,74 +1248,53 @@ ScenarioResult ScenarioRunState::run_echo(const ShardRange& shard) {
                    "echo_DR", "lad_DR"}});
   if (shard_is_empty(shard)) return result;
 
-  const std::uint64_t seed = spec.pipeline.seed;
   const double x = spec.compromised.front();
   const TrainedDeployment dep(spec);
   const EchoProtocol echo = EchoProtocol::grid(
       dep.dcfg.field(), spec.echo_grid_x, spec.echo_grid_y, spec.echo_range);
 
-  ItemScheduler sched(result, spec.jobs);
-  if (shard.contains(0)) {
-    sched.add(0, [&echo, &dep](ItemSink& sink) {
-      sink.row(0)
-          .add(echo.coverage(dep.dcfg.field()), 3)
-          .add(dep.threshold, 2);
-    });
-  }
-
-  long long item = 0;
-  for (double d : spec.damages) {
-    ++item;
-    if (!shard.contains(item)) continue;
-    sched.add(item, [this, item, d, seed, x, &echo, &dep](ItemSink& sink) {
-      // Keyed by item id (see run_correction): damage values never collide
-      // with each other or with the shared training stream.
-      Rng trial_rng = Rng::stream(seed, static_cast<std::uint64_t>(item));
-      const Deployed::Trials draw =
-          dep.draw_trials(trial_rng, spec.trials, d);
-      struct Trial {
-        int verdict;  ///< echo: 1 accepted, 0 uncovered, -1 rejected
-        bool lad_detected;
-      };
-      std::vector<Trial> out(draw.nodes.size());
-      const auto run_trial = [&](std::size_t t) {
-        const Vec2 la = dep.net.position(draw.nodes[t]);
-        const Vec2 claimed = draw.claims[t];
-
-        // The attacker may stretch the echo (delay >= 0) but never shrink
-        // it; testing the honest echo plus one large delay covers the
-        // attacker's whole strategy space.
-        int verdict = echo.verify(claimed, la, 0.0);
-        if (verdict == -1) {
-          verdict = echo.verify(claimed, la, 10.0) == 1 ? 1 : -1;
+  run_cells(
+      shard, result,
+      [&](Rng&, ItemSink& sink) {
+        sink.row(0)
+            .add(echo.coverage(dep.dcfg.field()), 3)
+            .add(dep.threshold, 2);
+      },
+      [&](Rng& rng, AttackClass cls, double d, ItemSink& sink) {
+        struct Trial {
+          int verdict;  ///< echo: 1 accepted, 0 uncovered, -1 rejected
+          bool lad_detected;
+        };
+        const std::vector<Trial> out = dep.run_trials(
+            rng, spec.trials, d,
+            [&](const Deployed::Trials& draw, std::size_t t) {
+              const Vec2 la = dep.net.position(draw.nodes[t]);
+              const Vec2 claimed = draw.claims[t];
+              // The attacker may stretch the echo (delay >= 0) but never
+              // shrink it; testing the honest echo plus one large delay
+              // covers the attacker's whole strategy space.
+              int verdict = echo.verify(claimed, la, 0.0);
+              if (verdict == -1) {
+                verdict = echo.verify(claimed, la, 10.0) == 1 ? 1 : -1;
+              }
+              const Observation o = dep.tainted(draw, t, dep.metric, cls, x);
+              return Trial{verdict, dep.detector.check(o, claimed).anomaly};
+            });
+        int rejected = 0, accepted = 0, uncovered = 0, lad_detected = 0;
+        for (const Trial& trial : out) {
+          if (trial.verdict == 0) ++uncovered;
+          else if (trial.verdict == 1) ++accepted;
+          else ++rejected;
+          if (trial.lad_detected) ++lad_detected;
         }
-
-        const Observation a = draw.batch.to_observation(t);
-        const ExpectedObservation mu =
-            dep.model.expected_observation(claimed, dep.gz);
-        const TaintResult taint = greedy_taint(
-            a, mu, dep.dcfg.nodes_per_group, dep.metric, spec.attacks.front(),
-            static_cast<int>(x * a.total()));
-        out[t] = {verdict, dep.detector.check(taint.tainted, claimed).anomaly};
-      };
-      parallel_for_items(out.size(), run_trial, dep.threads);
-      int rejected = 0, accepted = 0, uncovered = 0, lad_detected = 0;
-      for (const Trial& trial : out) {
-        if (trial.verdict == 0) ++uncovered;
-        else if (trial.verdict == 1) ++accepted;
-        else ++rejected;
-        if (trial.lad_detected) ++lad_detected;
-      }
-      sink.row(1)
-          .add(d, 0)
-          .add(rejected)
-          .add(accepted)
-          .add(uncovered)
-          .add(static_cast<double>(rejected) / spec.trials, 3)
-          .add(static_cast<double>(lad_detected) / spec.trials, 3);
-    });
-  }
-  sched.run();
+        sink.row(1)
+            .add(d, 0)
+            .add(rejected)
+            .add(accepted)
+            .add(uncovered)
+            .add(static_cast<double>(rejected) / spec.trials, 3)
+            .add(static_cast<double>(lad_detected) / spec.trials, 3);
+      });
   return result;
 }
 
@@ -1506,31 +1528,18 @@ ScenarioResult ScenarioRunState::run_evolve(const ShardRange& shard) {
                   {"attack", "D", "round", "corrupted", "DR"}});
   if (shard_is_empty(shard)) return result;
 
-  const std::uint64_t seed = spec.pipeline.seed;
   // The threshold stays fixed across rounds - only the attacker evolves.
   const TrainedDeployment dep(spec);
 
-  ItemScheduler sched(result, spec.jobs);
-  if (shard.contains(0)) {
-    sched.add(0, [this, &dep](ItemSink& sink) {
-      sink.row(0)
-          .add(dep.threshold, 2)
-          .add(spec.evolve_rounds)
-          .add(spec.trials);
-    });
-  }
-
-  long long item = 0;
-  for (AttackClass cls : spec.attacks) {
-    for (double d : spec.damages) {
-      ++item;
-      if (!shard.contains(item)) continue;
-      sched.add(item, [this, item, cls, d, seed, &dep](ItemSink& sink) {
-        // Keyed by item id (see run_correction): (attack, damage) cells
-        // never share a stream with each other or with training.
-        Rng trial_rng = Rng::stream(seed, static_cast<std::uint64_t>(item));
-        const Deployed::Trials draw =
-            dep.draw_trials(trial_rng, spec.trials, d);
+  run_cells(
+      shard, result,
+      [&](Rng&, ItemSink& sink) {
+        sink.row(0)
+            .add(dep.threshold, 2)
+            .add(spec.evolve_rounds)
+            .add(spec.trials);
+      },
+      [&](Rng& rng, AttackClass cls, double d, ItemSink& sink) {
         // Round r: the same victims re-assert the same claim, but the
         // attacker has corrupted `initial + r * step` beacons by now.  The
         // budgets ascend, so one greedy walk per trial visits every
@@ -1541,22 +1550,26 @@ ScenarioResult ScenarioRunState::run_evolve(const ShardRange& shard) {
           corrupted[round] =
               spec.evolve_initial + static_cast<int>(round) * spec.evolve_step;
         }
-        // Trial t's verdict at round r lands in slot t * rounds + r.
-        std::vector<char> anomaly(draw.nodes.size() * rounds, 0);
-        const auto run_trial = [&](std::size_t t) {
-          greedy_taint_ladder(
-              draw.batch.to_observation(t),
-              dep.model.expected_observation(draw.claims[t], dep.gz),
-              dep.dcfg.nodes_per_group, dep.metric, cls, corrupted,
-              [&](std::size_t round, const Observation& tainted, int) {
-                anomaly[t * rounds + round] =
-                    dep.detector.check(tainted, draw.claims[t]).anomaly;
-              });
-        };
-        parallel_for_items(draw.nodes.size(), run_trial, dep.threads);
+        // Each trial's verdict at every round.
+        const std::vector<std::vector<char>> anomaly = dep.run_trials(
+            rng, spec.trials, d,
+            [&](const Deployed::Trials& draw, std::size_t t) {
+              std::vector<char> verdicts(rounds, 0);
+              greedy_taint_ladder(
+                  draw.batch.to_observation(t),
+                  dep.model.expected_observation(draw.claims[t], dep.gz),
+                  dep.dcfg.nodes_per_group, dep.metric, cls, corrupted,
+                  [&](std::size_t round, const Observation& tainted, int) {
+                    verdicts[round] =
+                        dep.detector.check(tainted, draw.claims[t]).anomaly;
+                  });
+              return verdicts;
+            });
         std::vector<int> detected(rounds, 0);
-        for (std::size_t i = 0; i < anomaly.size(); ++i) {
-          if (anomaly[i]) ++detected[i % rounds];
+        for (const std::vector<char>& verdicts : anomaly) {
+          for (std::size_t round = 0; round < rounds; ++round) {
+            detected[round] += verdicts[round];
+          }
         }
         for (std::size_t round = 0; round < rounds; ++round) {
           sink.row(1)
@@ -1567,9 +1580,6 @@ ScenarioResult ScenarioRunState::run_evolve(const ShardRange& shard) {
               .add(static_cast<double>(detected[round]) / spec.trials, 3);
         }
       });
-    }
-  }
-  sched.run();
   return result;
 }
 
@@ -1579,12 +1589,11 @@ ScenarioResult ScenarioRunState::run_coop(const ShardRange& shard) {
                   {"D", "solo_DR", "node_DR", "coop_DR", "mean_voters"}});
   if (shard_is_empty(shard)) return result;
 
-  const std::uint64_t seed = spec.pipeline.seed;
   const AttackClass cls = spec.attacks.front();
   const double x = spec.compromised.front();
   const TrainedDeployment dep(spec);
 
-  // One trial batch shared by the benign and every attack item: draw the
+  // One trial batch per item, benign (the summary) or attacked: draw the
   // victims, observe, then vote.  `d < 0` means benign (claim = truth,
   // untainted observation).  Nodes within coop_radius of the CLAIMED
   // location vote, but only those with radio standing: a node expects to
@@ -1595,54 +1604,44 @@ ScenarioResult ScenarioRunState::run_coop(const ShardRange& shard) {
   // evidence and abstains.  An honest claim makes the two disks coincide,
   // so the vote-level FP rate is exactly zero by construction, while a
   // displaced claim leaves both disks' occupants testifying against it.
-  const auto run_trials = [this, seed, cls, x, &dep](long long item, double d,
-                                                    Table& row) {
-    Rng trial_rng = Rng::stream(seed, static_cast<std::uint64_t>(item));
-    const Deployed::Trials draw = dep.draw_trials(trial_rng, spec.trials, d);
+  const auto vote = [&](Rng& rng, double d, Table& row) {
     const Network& net = dep.net;
-
     struct Trial {
       bool solo;           ///< the LAD detector flags the claim
       long long standing;  ///< voters with radio evidence
       long long bad;       ///< of those, anomalous votes
     };
-    std::vector<Trial> out(draw.nodes.size());  // value-initialized: zeros
-    const auto vote_trial = [&](std::size_t t) {
-      const std::size_t node = draw.nodes[t];
-      const Vec2 claim = draw.claims[t];
-      const Observation a = draw.batch.to_observation(t);
-      Trial& trial = out[t];
-      if (d < 0) {
-        trial.solo = dep.detector.check(a, claim).anomaly;
-      } else {
-        const ExpectedObservation mu =
-            dep.model.expected_observation(claim, dep.gz);
-        const TaintResult taint =
-            greedy_taint(a, mu, dep.dcfg.nodes_per_group, dep.metric, cls,
-                         static_cast<int>(x * a.total()));
-        trial.solo = dep.detector.check(taint.tainted, claim).anomaly;
-      }
-      const std::vector<std::size_t> nearby =
-          net.nodes_within(claim, spec.coop_radius, node);
-      for (std::size_t v : nearby) {
-        const double range = net.tx_range(node);
-        const bool expected = distance(net.position(v), claim) <= range;
-        const bool actual =
-            distance(net.position(v), net.position(node)) <= range;
-        if (!expected && !actual) continue;  // no evidence either way
-        ++trial.standing;
-        if (expected != actual) ++trial.bad;
-      }
-    };
-    parallel_for_items(out.size(), vote_trial, dep.threads);
+    const std::vector<Trial> out = dep.run_trials(
+        rng, spec.trials, d, [&](const Deployed::Trials& draw, std::size_t t) {
+          const std::size_t node = draw.nodes[t];
+          const Vec2 claim = draw.claims[t];
+          Trial trial{};
+          trial.solo =
+              dep.detector
+                  .check(d < 0 ? draw.batch.to_observation(t)
+                               : dep.tainted(draw, t, dep.metric, cls, x),
+                         claim)
+                  .anomaly;
+          const std::vector<std::size_t> nearby =
+              net.nodes_within(claim, spec.coop_radius, node);
+          for (std::size_t v : nearby) {
+            const double range = net.tx_range(node);
+            const bool expected = distance(net.position(v), claim) <= range;
+            const bool actual =
+                distance(net.position(v), net.position(node)) <= range;
+            if (!expected && !actual) continue;  // no evidence either way
+            ++trial.standing;
+            if (expected != actual) ++trial.bad;
+          }
+          return trial;
+        });
 
     int solo = 0, coop = 0;
-    long long votes = 0, anomalous_votes = 0, voters_total = 0;
+    long long votes = 0, anomalous_votes = 0;
     for (const Trial& trial : out) {
       if (trial.solo) ++solo;
       votes += trial.standing;
       anomalous_votes += trial.bad;
-      voters_total += trial.standing;
       if (trial.standing > 0 &&
           static_cast<double>(trial.bad) >=
               spec.coop_majority * static_cast<double>(trial.standing)) {
@@ -1657,24 +1656,15 @@ ScenarioResult ScenarioRunState::run_coop(const ShardRange& shard) {
                               static_cast<double>(votes),
              3)
         .add(coop / trials, 3)
-        .add(static_cast<double>(voters_total) / trials, 1);
+        .add(static_cast<double>(votes) / trials, 1);
   };
 
-  ItemScheduler sched(result, spec.jobs);
-  if (shard.contains(0)) {
-    sched.add(0, [&run_trials](ItemSink& sink) {
-      run_trials(0, -1.0, sink.row(0));
-    });
-  }
-  long long item = 0;
-  for (double d : spec.damages) {
-    ++item;
-    if (!shard.contains(item)) continue;
-    sched.add(item, [item, d, &run_trials](ItemSink& sink) {
-      run_trials(item, d, sink.row(1));
-    });
-  }
-  sched.run();
+  run_cells(
+      shard, result,
+      [&](Rng& rng, ItemSink& sink) { vote(rng, -1.0, sink.row(0)); },
+      [&](Rng& rng, AttackClass, double d, ItemSink& sink) {
+        vote(rng, d, sink.row(1));
+      });
   return result;
 }
 

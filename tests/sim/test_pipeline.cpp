@@ -171,40 +171,6 @@ TEST(Pipeline, RejectsBadConfigs) {
   EXPECT_THROW(ok.attack_scores(bad), AssertionError);
 }
 
-// Cross-scoring by the attacked metric alone is the plain attack pass:
-// both run the same body, so the scores agree bit for bit.
-TEST(Pipeline, CrossScoringByTheAttackedMetricEqualsAttackScores) {
-  Pipeline p(small_pipeline_config());
-  for (MetricKind metric :
-       {MetricKind::kDiff, MetricKind::kAddAll, MetricKind::kProb}) {
-    AttackSpec spec;
-    spec.metric = metric;
-    spec.damage = 90.0;
-    spec.compromised_frac = 0.2;
-    const auto cross = p.attack_scores_cross(spec, {spec.metric});
-    ASSERT_EQ(cross.size(), 1u);
-    const std::vector<double> plain = p.attack_scores(spec);
-    const std::vector<double>& crossed = cross.at(metric);
-    ASSERT_EQ(crossed.size(), plain.size());
-    for (std::size_t i = 0; i < plain.size(); ++i) {
-      EXPECT_EQ(std::memcmp(&crossed[i], &plain[i], sizeof(double)), 0)
-          << metric_name(metric) << " victim " << i;
-    }
-  }
-}
-
-TEST(Pipeline, CrossScoringRejectsBadAttackSpecs) {
-  Pipeline p(small_pipeline_config());
-  const std::vector<MetricKind> scorers = {MetricKind::kDiff,
-                                           MetricKind::kProb};
-  AttackSpec bad;
-  bad.compromised_frac = 1.5;
-  EXPECT_THROW(p.attack_scores_cross(bad, scorers), AssertionError);
-  bad.compromised_frac = 0.1;
-  bad.damage = -5.0;
-  EXPECT_THROW(p.attack_scores_cross(bad, scorers), AssertionError);
-}
-
 TEST(Pipeline, VictimGroupsAlignWithScoresAndNeverPerturbThem) {
   Pipeline p(small_pipeline_config());
   const LocalizerFactory factory = truth_noise_factory(5.0);
@@ -317,7 +283,10 @@ TEST(Pipeline, PassesBitIdenticalAcrossThreadsAndKernels) {
       beaconless_mle_factory(baseline.model(), baseline.gz());
   const auto base_benign = baseline.benign_scores(base_factory, metrics);
   const auto base_attack = baseline.attack_scores(attack);
-  const auto base_cross = baseline.attack_scores_cross(attack, metrics);
+  // One multi-scorer cell: the taint minimizes Diff, both metrics score.
+  const std::vector<AttackCell> cells = {
+      {attack.metric, attack.attack_class, attack.compromised_frac, metrics}};
+  const auto base_batch = baseline.attack_batch(attack.damage, cells);
   std::ostringstream base_bundle;
   save_bundle(base_bundle, baseline.train_bundle(base_factory, metrics,
                                                  {0.95, 0.99}, 0.99));
@@ -334,7 +303,7 @@ TEST(Pipeline, PassesBitIdenticalAcrossThreadsAndKernels) {
           beaconless_mle_factory(p.model(), p.gz());
       EXPECT_TRUE(p.benign_scores(factory, metrics) == base_benign);
       EXPECT_TRUE(p.attack_scores(attack) == base_attack);
-      EXPECT_TRUE(p.attack_scores_cross(attack, metrics) == base_cross);
+      EXPECT_TRUE(p.attack_batch(attack.damage, cells) == base_batch);
       std::ostringstream bundle;
       save_bundle(bundle,
                   p.train_bundle(factory, metrics, {0.95, 0.99}, 0.99));

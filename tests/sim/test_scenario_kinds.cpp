@@ -1,12 +1,13 @@
-// The two adversarial/cooperative experiment kinds (time-evolving,
-// in-network): spec validation, item accounting and run semantics; plus
-// the quick-mode golden CSVs of every checked-in spec.
+// The single-network experiment kinds (correction, echo-comparison,
+// time-evolving, in-network): spec validation, item accounting and run
+// semantics; plus the quick-mode golden CSVs of every checked-in spec.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -47,6 +48,16 @@ std::string evolve_spec(const std::string& kind_section) {
 
 std::string coop_spec(const std::string& kind_section) {
   return "[scenario]\nname = c\nexperiment = in-network\n" +
+         std::string(kPipeline) + kind_section;
+}
+
+std::string correction_spec(const std::string& kind_section) {
+  return "[scenario]\nname = corr\nexperiment = correction\n" +
+         std::string(kPipeline) + kind_section;
+}
+
+std::string echo_spec(const std::string& kind_section) {
+  return "[scenario]\nname = echo\nexperiment = echo-comparison\n" +
          std::string(kPipeline) + kind_section;
 }
 
@@ -215,9 +226,17 @@ TEST(ScenarioRunnerKinds, CoopEmitsBenignFpRowAndPerDamageRows) {
   EXPECT_GT(node_dr_far, node_fp);
 }
 
+// Every single-network kind's items, as trial_cells counts them and
+// run_cells walks them: two shards together emit exactly the full run's
+// rows, and their row tags are every item id 0 ... num_items() - 1.
 TEST(ScenarioRunnerKinds, ShardsPartitionTheNewKinds) {
   for (const std::string& text :
-       {evolve_spec("[sweep]\nattacks = dec-bounded, dec-only\n"
+       {correction_spec("[sweep]\nattacks = dec-bounded, dec-only\n"
+                        "damages = 60, 120, 240\ncompromised = 0.10\n"
+                        "[correction]\ntrials = 4\n"),
+        echo_spec("[sweep]\ndamages = 60, 120, 240\ncompromised = 0.10\n"
+                  "[echo]\ntrials = 4\ntrain_samples = 40\n"),
+        evolve_spec("[sweep]\nattacks = dec-bounded, dec-only\n"
                     "damages = 60, 120\n"
                     "[evolve]\ntrials = 4\nrounds = 2\ntrain_samples = 40\n"),
         coop_spec("[sweep]\ndamages = 60, 120, 240\n"
@@ -239,6 +258,12 @@ TEST(ScenarioRunnerKinds, ShardsPartitionTheNewKinds) {
     std::sort(seen.begin(), seen.end());
     std::sort(all.begin(), all.end());
     EXPECT_EQ(seen, all);
+
+    all.erase(std::unique(all.begin(), all.end()), all.end());
+    std::vector<long long> ids(
+        static_cast<std::size_t>(ScenarioRunner(spec).num_items()));
+    std::iota(ids.begin(), ids.end(), 0LL);
+    EXPECT_EQ(all, ids);
   }
 }
 
@@ -261,15 +286,12 @@ std::string result_bytes(const ScenarioResult& result) {
 // bytes must not depend on either count.
 TEST(ScenarioRunnerKinds, SingleNetworkKindsMatchAcrossThreadsAndJobs) {
   const std::string specs[] = {
-      "[scenario]\nname = corr\nexperiment = correction\n" +
-          std::string(kPipeline) +
+      correction_spec(
           "[sweep]\nattacks = dec-only, dec-bounded\ndamages = 80, 160\n"
-          "compromised = 0.10\n[correction]\ntrials = 37\n",
-      "[scenario]\nname = echo\nexperiment = echo-comparison\n" +
-          std::string(kPipeline) +
-          "[sweep]\ndamages = 80, 160\ncompromised = 0.10\n"
-          "[echo]\ntrials = 37\ngrid_x = 3\ngrid_y = 3\nrange = 200\n"
-          "train_samples = 41\n",
+          "compromised = 0.10\n[correction]\ntrials = 37\n"),
+      echo_spec("[sweep]\ndamages = 80, 160\ncompromised = 0.10\n"
+                "[echo]\ntrials = 37\ngrid_x = 3\ngrid_y = 3\nrange = 200\n"
+                "train_samples = 41\n"),
       evolve_spec("[sweep]\nattacks = dec-bounded, dec-only\ndamages = 120\n"
                   "[evolve]\ntrials = 37\nrounds = 3\nstep = 4\n"
                   "train_samples = 41\n"),
@@ -294,6 +316,29 @@ TEST(ScenarioRunnerKinds, SingleNetworkKindsMatchAcrossThreadsAndJobs) {
             << "threads " << threads << ", jobs " << jobs;
       }
     }
+  }
+}
+
+// The single-network kinds build their g(z) table at [pipeline] gz_omega,
+// as every Pipeline does: a coarse table moves their numbers, and the
+// default 256 spelled out changes nothing.
+TEST(ScenarioRunnerKinds, SingleNetworkKindsHonourGzOmega) {
+  for (const std::string& text :
+       {correction_spec("[sweep]\ndamages = 80, 160\ncompromised = 0.10\n"
+                        "[correction]\ntrials = 12\n"),
+        coop_spec("[sweep]\ndamages = 60, 240\ncompromised = 0.10\n"
+                  "[coop]\ntrials = 20\nradius = 120\n"
+                  "train_samples = 50\n")}) {
+    const auto bytes_at = [&text](const std::string& omega_line) {
+      std::string edited = text;
+      const std::string section = "[pipeline]\n";
+      edited.insert(edited.find(section) + section.size(), omega_line);
+      return result_bytes(ScenarioRunner(parse(edited)).run());
+    };
+    const std::string unedited = bytes_at("");
+    SCOPED_TRACE(parse(text).name);
+    EXPECT_NE(bytes_at("gz_omega = 8\n"), unedited);
+    EXPECT_EQ(bytes_at("gz_omega = 256\n"), unedited);
   }
 }
 

@@ -1,8 +1,10 @@
 // The experiment-kind table: every ExperimentKind is described exactly
-// once, as one KindSpec row (defined next to the run functions in
-// scenario_runner.cpp).  The spec parser, the runner and the .scn fuzzer
-// all read their per-kind knowledge from that row, so none of them keeps
-// a copy that could drift.
+// once, as one KindSpec row, and every [sweep] list as one SweepList row
+// (both defined next to the run functions in scenario_runner.cpp).  The
+// spec parser, the runner and the .scn fuzzer all read their per-kind and
+// per-list knowledge from those rows, so none of them keeps a copy that
+// could drift.  Only [sweep] mismatch_coupling and dr-sweep's mismatch
+// pair axis over actual_sigmas x jitters are written by hand.
 //
 // A grid kind (roc, dr-sweep, density-sweep) is an axis list plus a body:
 // its row lists the sweep axes, outermost first, and everything else - the
@@ -81,20 +83,56 @@ struct GridCell {
   double d = 0.0;
 };
 
+/// One [sweep] list.  Only the rows of sweep_lists() build these.
+struct SweepList {
+  const char* key = "";
+  /// Set by a kind that sweeps the list: a kMulti* list holds one value
+  /// elsewhere, a kKey* list (kind_only) none.
+  KindAccepts bit = {};
+  /// A named list's values (read by its *_from_name function) and fuzz
+  /// domain; empty for a numeric list.
+  std::vector<std::string> names = {};
+  // A numeric list: every value must lie in [min, max]; the fuzzer draws
+  // from [lo, hi] at `decimals` (0 = integers), at most `max_values` of
+  // them where the list is swept.
+  double min = 0.0, max = 0.0;
+  double lo = 0.0, hi = 0.0;
+  int decimals = 0, max_values = 1;
+  double chance = 0.0;  ///< how often a generated spec that may set it does
+  /// Reads [sweep] into `spec`, range-checked.
+  void (*read)(const SweepList& list, const KvConfig::Section& section,
+               ScenarioSpec& spec) = nullptr;
+  std::size_t (*size)(const ScenarioSpec& spec) = nullptr;
+  // As a grid kind's axis: the dim column, how value `i` sets the cell,
+  // and how the column prints it.
+  const char* column = nullptr;
+  void (*set)(const ScenarioSpec& spec, std::size_t i,
+              GridCell& cell) = nullptr;
+  void (*print)(const GridCell& cell, Table& row) = nullptr;
+
+  /// A kKey* list (densities, group_thresholds): only its kind may set it.
+  bool kind_only() const { return bit >= kKeyDensities; }
+  /// Throws, naming `[section] key` and [min, max], unless v lies in it.
+  void require_in_range(double v, const char* section) const;
+};
+
+/// Every [sweep] list except mismatch_coupling, in KindAccepts bit order.
+const std::vector<SweepList>& sweep_lists();
+/// The row whose key is `key`; throws AssertionError otherwise.
+const SweepList& sweep_list(const std::string& key);
+
 namespace detail {
 
 /// One sweep axis of a grid kind.  Only the kind table's rows build these.
 struct GridAxis {
-  /// A dim column the axis writes at the head of every row.
+  /// A dim column the axis writes at the head of every row: the column
+  /// of `list`, shown always or only while it holds more than one value.
   struct Column {
-    const char* name;
-    /// Length of the [sweep] list that gates the column: it appears only
-    /// while that list holds more than one value.  nullptr = always.
-    std::size_t (*gate)(const ScenarioSpec& spec);
-    void (*print)(const GridCell& cell, Table& row);
+    const SweepList* list;
+    bool always;
 
     bool shown(const ScenarioSpec& spec) const {
-      return gate == nullptr || gate(spec) > 1;
+      return always || list->size(spec) > 1;
     }
   };
 
@@ -157,7 +195,9 @@ namespace detail {
 /// the kind sections (scenario_runner.cpp).
 int get_positive_int(const KvConfig::Section& s, const std::string& key,
                      long long def);
-void require_non_empty(const std::vector<double>& v, const char* what);
+void require_non_empty(std::size_t size, const char* what);
+/// `name` when it is a localizer registry name; throws otherwise.
+std::string known_localizer(const std::string& name);
 
 }  // namespace detail
 

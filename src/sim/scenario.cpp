@@ -44,54 +44,6 @@ const char* kind_accepting(KindAccepts bit) {
   return "?";
 }
 
-std::vector<MetricKind> parse_metrics(const KvConfig::Section& s) {
-  std::vector<MetricKind> out;
-  for (const std::string& name : s.get_string_list("metrics", {"diff"})) {
-    out.push_back(metric_from_name(name));
-  }
-  return out;
-}
-
-std::vector<AttackClass> parse_attacks(const KvConfig::Section& s) {
-  std::vector<AttackClass> out;
-  for (const std::string& name :
-       s.get_string_list("attacks", {"dec-bounded"})) {
-    out.push_back(attack_class_from_name(name));
-  }
-  return out;
-}
-
-std::vector<int> to_int_vector(const std::vector<long long>& v) {
-  return std::vector<int>(v.begin(), v.end());
-}
-
-GroupThresholdMode group_threshold_mode_from_name(const std::string& name) {
-  const std::string n = to_lower(name);
-  if (n == "global") return GroupThresholdMode::kGlobal;
-  if (n == "per_group") return GroupThresholdMode::kPerGroup;
-  LAD_REQUIRE_MSG(false, "unknown group-threshold mode '"
-                             << name << "' (known: global, per_group)");
-  return GroupThresholdMode::kGlobal;  // unreachable
-}
-
-/// Validates a localizer registry name without needing a pipeline.
-bool is_known_localizer(const std::string& name) {
-  if (name == "beaconless-mle" || name == "weighted-centroid" ||
-      name == "dv-hop" || name == "amorphous") {
-    return true;
-  }
-  if (name == "truth-noise" || starts_with(name, "truth-noise:")) {
-    if (name == "truth-noise") return true;
-    try {
-      return parse_double(name.substr(std::string("truth-noise:").size())) >=
-             0.0;
-    } catch (const AssertionError&) {
-      return false;
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 namespace detail {
@@ -104,8 +56,28 @@ int get_positive_int(const KvConfig::Section& s, const std::string& key,
   return static_cast<int>(v);
 }
 
-void require_non_empty(const std::vector<double>& v, const char* what) {
-  LAD_REQUIRE_MSG(!v.empty(), "sweep list '" << what << "' is empty");
+void require_non_empty(std::size_t size, const char* what) {
+  LAD_REQUIRE_MSG(size > 0, "sweep list '" << what << "' is empty");
+}
+
+std::string known_localizer(const std::string& name) {
+  bool known = name == "beaconless-mle" || name == "weighted-centroid" ||
+               name == "dv-hop" || name == "amorphous" ||
+               name == "truth-noise";
+  if (!known && starts_with(name, "truth-noise:")) {
+    try {
+      known = parse_double(name.substr(std::string("truth-noise:").size())) >=
+              0.0;
+    } catch (const AssertionError&) {
+      known = false;  // not a number
+    }
+  }
+  LAD_REQUIRE_MSG(known,
+                  "unknown localizer '" << name
+                                        << "' (known: beaconless-mle, "
+                                           "weighted-centroid, dv-hop, "
+                                           "amorphous, truth-noise:<sigma>)");
+  return name;
 }
 
 }  // namespace detail
@@ -123,11 +95,7 @@ const char* detail::group_threshold_mode_name(GroupThresholdMode mode) {
 
 LocalizerFactory localizer_factory_from_name(const std::string& name,
                                              const Pipeline& pipeline) {
-  LAD_REQUIRE_MSG(is_known_localizer(name),
-                  "unknown localizer '" << name
-                                        << "' (known: beaconless-mle, "
-                                           "weighted-centroid, dv-hop, "
-                                           "amorphous, truth-noise:<sigma>)");
+  detail::known_localizer(name);
   if (name == "beaconless-mle") {
     return beaconless_mle_factory(pipeline.model(), pipeline.gz());
   }
@@ -200,6 +168,10 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
     spec.pipeline.deploy.grid_nx = get_positive_int(*p, "grid_nx", 10);
     spec.pipeline.deploy.grid_ny = get_positive_int(*p, "grid_ny", 10);
     spec.pipeline.gz_omega = get_positive_int(*p, "gz_omega", 256);
+    // GzTable's floor: fewer samples give a useless g(z) table.
+    LAD_REQUIRE_MSG(spec.pipeline.gz_omega >= 8,
+                    "[pipeline] gz_omega must be >= 8, got "
+                        << spec.pipeline.gz_omega);
     spec.pipeline.shape =
         deployment_shape_from_name(p->get_string("shape", "grid"));
     spec.pipeline.victims_in_field_only =
@@ -215,7 +187,11 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
     if (q->has("dvhop_trials")) {
       spec.quick.dvhop_trials = get_positive_int(*q, "dvhop_trials", 30);
     }
-    spec.quick.densities = to_int_vector(q->get_int_list("densities", {}));
+    for (long long m : q->get_int_list("densities", {})) {
+      sweep_list("densities").require_in_range(static_cast<double>(m),
+                                               "quick");
+      spec.quick.densities.push_back(static_cast<int>(m));
+    }
   }
 
   spec.shapes = {spec.pipeline.shape};
@@ -227,94 +203,35 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
   spec.actual_sigmas = {0.0};
   spec.jitters = {0.0};
   if (const KvConfig::Section* s = config.find_section("sweep")) {
-    if (s->has("shapes")) {
-      spec.shapes.clear();
-      for (const std::string& n : s->get_string_list("shapes", {})) {
-        spec.shapes.push_back(deployment_shape_from_name(n));
-      }
-      LAD_REQUIRE_MSG(!spec.shapes.empty(), "sweep list 'shapes' is empty");
+    for (const SweepList& list : sweep_lists()) {
+      if (!s->has(list.key)) continue;
+      // A kind-only list elsewhere is dead configuration (fail-fast).
+      LAD_REQUIRE_MSG(!list.kind_only() || kind.accepts(list.bit),
+                      "[sweep] " << list.key << " is only swept by "
+                                 << kind_accepting(list.bit) << " (this is "
+                                 << kind.name << ")");
+      list.read(list, *s, spec);
+      require_non_empty(list.size(spec), list.key);
     }
-    spec.localizers = s->get_string_list("localizers", spec.localizers);
-    LAD_REQUIRE_MSG(!spec.localizers.empty(),
-                    "sweep list 'localizers' is empty");
-    for (const std::string& n : spec.localizers) {
-      LAD_REQUIRE_MSG(is_known_localizer(n), "unknown localizer '" << n << "'");
-    }
-    if (s->has("metrics")) spec.metrics = parse_metrics(*s);
-    LAD_REQUIRE_MSG(!spec.metrics.empty(), "sweep list 'metrics' is empty");
-    if (s->has("attacks")) spec.attacks = parse_attacks(*s);
-    LAD_REQUIRE_MSG(!spec.attacks.empty(), "sweep list 'attacks' is empty");
-    spec.damages = s->get_double_list("damages", spec.damages);
-    require_non_empty(spec.damages, "damages");
-    for (double d : spec.damages) {
-      LAD_REQUIRE_MSG(d >= 0, "[sweep] damages must be >= 0, got " << d);
-    }
-    spec.compromised = s->get_double_list("compromised", spec.compromised);
-    require_non_empty(spec.compromised, "compromised");
-    for (double x : spec.compromised) {
-      LAD_REQUIRE_MSG(x >= 0 && x <= 1,
-                      "[sweep] compromised must be in [0,1], got " << x);
-    }
-    spec.densities = to_int_vector(s->get_int_list("densities", {}));
-    spec.actual_sigmas = s->get_double_list("actual_sigmas", spec.actual_sigmas);
-    require_non_empty(spec.actual_sigmas, "actual_sigmas");
-    spec.jitters = s->get_double_list("jitters", spec.jitters);
-    require_non_empty(spec.jitters, "jitters");
     const std::string coupling = s->get_string("mismatch_coupling", "axes");
-    if (coupling == "axes") {
-      spec.mismatch_coupling = MismatchCoupling::kAxes;
-    } else if (coupling == "product") {
-      spec.mismatch_coupling = MismatchCoupling::kProduct;
-    } else {
-      LAD_REQUIRE_MSG(false, "[sweep] mismatch_coupling must be 'axes' or "
-                             "'product', got '"
-                                 << coupling << "'");
-    }
-    if (s->has("group_thresholds")) {
-      // Outside its kind even a single value would be dead configuration
-      // (fail-fast contract).
-      LAD_REQUIRE_MSG(kind.accepts(kKeyGroupThresholds),
-                      "[sweep] group_thresholds is only swept by "
-                          << kind_accepting(kKeyGroupThresholds)
-                          << " (this is " << kind.name << ")");
-      spec.group_threshold_modes.clear();
-      for (const std::string& n : s->get_string_list("group_thresholds", {})) {
-        spec.group_threshold_modes.push_back(
-            group_threshold_mode_from_name(n));
-      }
-      LAD_REQUIRE_MSG(!spec.group_threshold_modes.empty(),
-                      "sweep list 'group_thresholds' is empty");
-    }
+    LAD_REQUIRE_MSG(coupling == "axes" || coupling == "product",
+                    "[sweep] mismatch_coupling must be 'axes' or 'product', "
+                    "got '" << coupling << "'");
+    spec.mismatch_coupling = coupling == "axes" ? MismatchCoupling::kAxes
+                                                : MismatchCoupling::kProduct;
   }
-  if (kind.accepts(kKeyDensities)) {
-    LAD_REQUIRE_MSG(!spec.densities.empty(),
-                    kind.name << " needs a non-empty [sweep] densities list");
-  } else {
-    LAD_REQUIRE_MSG(spec.densities.empty(),
-                    "[sweep] densities is only swept by "
-                        << kind_accepting(kKeyDensities) << " (this is "
-                        << kind.name << ")");
-  }
-
-  // Reject multi-valued axes the kind does not expand: the runner would
-  // silently use only the first value, which breaks the fail-fast contract.
-  const auto single_unless = [&](KindAccepts bit, std::size_t n,
-                                 const char* axis) {
-    LAD_REQUIRE_MSG(kind.accepts(bit) || n <= 1,
-                    "experiment '" << kind.name
-                                   << "' does not sweep [sweep] " << axis
-                                   << " (got " << n
+  for (const SweepList& list : sweep_lists()) {
+    const std::size_t n = list.size(spec);
+    const bool swept = kind.accepts(list.bit);
+    LAD_REQUIRE_MSG(n > 0 || !swept, kind.name << " needs a non-empty [sweep] "
+                                               << list.key << " list");
+    // More values on a list the kind does not sweep: the runner would
+    // silently use only the first, which breaks the fail-fast contract.
+    LAD_REQUIRE_MSG(swept || n <= 1,
+                    "experiment '" << kind.name << "' does not sweep [sweep] "
+                                   << list.key << " (got " << n
                                    << " values; only the first would run)");
-  };
-  single_unless(kMultiShapes, spec.shapes.size(), "shapes");
-  single_unless(kMultiLocalizers, spec.localizers.size(), "localizers");
-  single_unless(kMultiActualSigmas, spec.actual_sigmas.size(),
-                "actual_sigmas");
-  single_unless(kMultiJitters, spec.jitters.size(), "jitters");
-  single_unless(kMultiMetrics, spec.metrics.size(), "metrics");
-  single_unless(kMultiAttacks, spec.attacks.size(), "attacks");
-  single_unless(kMultiDamages, spec.damages.size(), "damages");
-  single_unless(kMultiCompromised, spec.compromised.size(), "compromised");
+  }
 
   if (const KvConfig::Section* d = config.find_section("detector")) {
     spec.fp_budget = d->get_double("fp_budget", spec.fp_budget);
@@ -346,7 +263,7 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
 
   if (const KvConfig::Section* o = config.find_section("output")) {
     spec.fp_grid = o->get_double_list("fp_grid", spec.fp_grid);
-    require_non_empty(spec.fp_grid, "fp_grid");
+    require_non_empty(spec.fp_grid.size(), "fp_grid");
     const long long pts = o->get_int("curve_points", spec.curve_points);
     LAD_REQUIRE_MSG(pts >= 0, "[output] curve_points must be >= 0");
     spec.curve_points = static_cast<int>(pts);

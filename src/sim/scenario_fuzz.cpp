@@ -1,6 +1,7 @@
 #include "sim/scenario_fuzz.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "rng/rng.h"
@@ -107,69 +108,42 @@ class ScnWriter {
   std::string text_;
 };
 
-int axis_n(Rng& rng, bool multi) { return multi ? draw_int(rng, 1, 4) : 1; }
+/// `n` values drawn from [lo, hi]: integers at 0 decimals.
+std::string values(Rng& rng, int n, double lo, double hi, int decimals) {
+  return decimals == 0 ? int_values(rng, n, static_cast<int>(lo),
+                                    static_cast<int>(hi))
+                       : double_values(rng, n, lo, hi, decimals);
+}
+
+/// Whether a spec of `kind` may set `list` at all.
+bool may_set(const KindSpec& kind, const SweepList& list) {
+  return !list.kind_only() || kind.accepts(list.bit);
+}
+
+/// `n` distinct values of `list`'s fuzz domain.
+std::string list_values(Rng& rng, const SweepList& list, int n) {
+  if (list.names.empty()) {
+    return values(rng, n, list.lo, list.hi, list.decimals);
+  }
+  std::vector<std::string> out;
+  const int first = draw_int(rng, 0, static_cast<int>(list.names.size()) - 1);
+  for (int i = 0; i < n; ++i) {
+    out.push_back(
+        list.names[static_cast<std::size_t>(first + i) % list.names.size()]);
+  }
+  return join(out, ", ");
+}
 
 void emit_sweep(ScnWriter& w, Rng& rng, const KindSpec& kind) {
   w.section("sweep");
-  bool any = false;
-  if (chance(rng, 0.7)) {
-    std::vector<std::string> ms = {"diff", "add-all", "prob"};
-    const int n = std::min(axis_n(rng, kind.accepts(kMultiMetrics)), 3);
-    ms.resize(static_cast<std::size_t>(n));
-    w.kv("metrics", join(ms, ", "));
-    any = true;
-  }
-  if (chance(rng, 0.7)) {
-    std::vector<std::string> as = {"dec-bounded", "dec-only"};
-    const int n = std::min(axis_n(rng, kind.accepts(kMultiAttacks)), 2);
-    as.resize(static_cast<std::size_t>(n));
-    w.kv("attacks", join(as, ", "));
-    any = true;
-  }
-  if (chance(rng, 0.8)) {
-    w.kv("damages", double_values(
-                        rng, axis_n(rng, kind.accepts(kMultiDamages)), 40,
-                        400, 0));
-    any = true;
-  }
-  if (chance(rng, 0.7)) {
-    w.kv("compromised",
-         double_values(rng, axis_n(rng, kind.accepts(kMultiCompromised)),
-                       0.05, 0.4, 2));
-    any = true;
-  }
-  if (kind.accepts(kKeyDensities)) {
-    w.kv("densities", int_values(rng, draw_int(rng, 1, 3), 50, 400));
-    any = true;
-  }
-  if (kind.accepts(kMultiShapes) && chance(rng, 0.5)) {
-    w.kv("shapes", "grid, hex");
-    any = true;
-  }
-  if (kind.accepts(kMultiLocalizers) && chance(rng, 0.5)) {
-    w.kv("localizers", "beaconless-mle, weighted-centroid");
-    any = true;
+  for (const SweepList& list : sweep_lists()) {
+    if (!may_set(kind, list) || !chance(rng, list.chance)) continue;
+    const int n =
+        kind.accepts(list.bit) ? draw_int(rng, 1, list.max_values) : 1;
+    w.kv(list.key, list_values(rng, list, n));
   }
   if (kind.accepts(kMultiActualSigmas) && chance(rng, 0.4)) {
-    w.kv("actual_sigmas",
-         double_values(rng, draw_int(rng, 1, 3), 20, 80, 0));
     w.kv("mismatch_coupling", chance(rng, 0.5) ? "axes" : "product");
-    any = true;
-  }
-  if (kind.accepts(kMultiJitters) && chance(rng, 0.4)) {
-    w.kv("jitters", double_values(rng, draw_int(rng, 1, 2), 0.5, 10, 1));
-    any = true;
-  }
-  if (kind.accepts(kKeyGroupThresholds) && chance(rng, 0.4)) {
-    w.kv("group_thresholds", "global, per_group");
-    any = true;
-  }
-  // An empty [sweep] section is legal (all axes default); keep it
-  // sometimes, but usually guarantee at least one key above.
-  if (!any && chance(rng, 0.5)) {
-    w.kv("damages", double_values(
-                        rng, axis_n(rng, kind.accepts(kMultiDamages)), 40,
-                        400, 0));
   }
 }
 
@@ -182,10 +156,8 @@ void emit_kind_section(ScnWriter& w, Rng& rng, const KindSpec& kind) {
     const int lo = static_cast<int>(k.lo);
     const int hi = static_cast<int>(k.hi);
     if (k.max_values > 1) {
-      const int n = draw_int(rng, 1, k.max_values);
-      w.kv(k.key, k.decimals == 0
-                      ? int_values(rng, n, lo, hi)
-                      : double_values(rng, n, k.lo, k.hi, k.decimals));
+      w.kv(k.key, values(rng, draw_int(rng, 1, k.max_values), k.lo, k.hi,
+                         k.decimals));
     } else {
       w.kv(k.key, k.decimals == 0 ? std::to_string(draw_int(rng, lo, hi))
                                   : fmt(rng.uniform(k.lo, k.hi), k.decimals));
@@ -371,35 +343,12 @@ std::string experiment_of(const std::vector<std::string>& lines) {
   return "";
 }
 
-/// A planted edit the spec's kind must reject: a second value on an axis
-/// it does not sweep, or a kind-only key it does not consume.
-struct UnsweptPlant {
-  KindAccepts bit;  ///< the bit that would make the edit valid
-  const char* section;
-  const char* key;
-  const char* line;
+/// A planted assignment: `line` in `section`, every other `key` dropped.
+struct Plant {
+  std::string section;
+  std::string key;
+  std::string line;
 };
-
-const std::vector<UnsweptPlant>& unswept_plants() {
-  static const std::vector<UnsweptPlant> plants = {
-      {kMultiShapes, "sweep", "shapes", "shapes = grid, hex"},
-      {kMultiLocalizers, "sweep", "localizers",
-       "localizers = beaconless-mle, dv-hop"},
-      {kMultiActualSigmas, "sweep", "actual_sigmas", "actual_sigmas = 20, 40"},
-      {kMultiJitters, "sweep", "jitters", "jitters = 1, 2"},
-      {kMultiMetrics, "sweep", "metrics", "metrics = diff, prob"},
-      {kMultiAttacks, "sweep", "attacks", "attacks = dec-bounded, dec-only"},
-      {kMultiDamages, "sweep", "damages", "damages = 40, 80"},
-      {kMultiCompromised, "sweep", "compromised", "compromised = 0.1, 0.2"},
-      {kKeyDensities, "sweep", "densities", "densities = 100, 300"},
-      {kKeyGroupThresholds, "sweep", "group_thresholds",
-       "group_thresholds = global, per_group"},
-      {kKeyGroupThresholds, "detector", "group_min_samples",
-       "group_min_samples = 5"},
-      {kKeyBundle, "detector", "bundle", "bundle = artifacts/fuzz.lad"},
-  };
-  return plants;
-}
 
 }  // namespace
 
@@ -479,46 +428,61 @@ ScnMutation mutate_scn(const std::string& valid, Rng& rng,
     lines.push_back("[" + section + "]");
     lines.push_back("trials = 4");
   } else if (chosen == "bad-enum") {
-    struct Choice { const char* key; const char* line; const char* needle; };
-    static const std::vector<Choice> choices = {
-        {"attacks", "attacks = nuke", "nuke"},
-        {"metrics", "metrics = banana", "banana"},
-        {"shapes", "shapes = pentagon", "pentagon"},
-        {"localizers", "localizers = gps", "gps"},
-    };
-    const Choice& c = pick(rng, choices);
-    m.needle = c.needle;
-    plant("sweep", c.key, c.line);
+    std::vector<std::string> keys;
+    for (const SweepList& list : sweep_lists()) {
+      if (!list.names.empty() && may_set(find_kind(kind), list)) {
+        keys.push_back(list.key);
+      }
+    }
+    const std::string& key = pick(rng, keys);
+    m.needle = "frobnitz";
+    plant("sweep", key, key + " = frobnitz");
   } else if (chosen == "bad-value") {
-    struct Choice {
-      const char* section;
-      const char* key;
-      const char* line;
-      const char* needle;
+    // Also each numeric [sweep] list the kind may set, just out of range.
+    std::vector<Plant> choices = {
+        {"detector", "tau", "tau = 1.5"}, {"run", "jobs", "jobs = 0"},
+        {"detector", "fp_budget", "fp_budget = 0"}, {"pipeline", "m", "m = -3"},
+        {"pipeline", "sigma", "sigma = 0"},
+        {"pipeline", "gz_omega", "gz_omega = 4"},
     };
-    static const std::vector<Choice> choices = {
-        {"detector", "tau", "tau = 1.5", "tau"},
-        {"detector", "fp_budget", "fp_budget = 0", "fp_budget"},
-        {"run", "jobs", "jobs = 0", "jobs"},
-        {"pipeline", "m", "m = -3", "m"},
-        {"pipeline", "sigma", "sigma = 0", "sigma"},
-        {"sweep", "compromised", "compromised = 1.5", "compromised"},
-        {"sweep", "compromised", "compromised = -0.2", "compromised"},
-        {"sweep", "damages", "damages = -40", "damages"},
-    };
-    const Choice& c = pick(rng, choices);
-    m.needle = c.needle;
-    plant(c.section, c.key, c.line);
+    for (const SweepList& list : sweep_lists()) {
+      if (!list.names.empty() || !may_set(find_kind(kind), list)) continue;
+      const std::string key = list.key;
+      for (double v : {list.min - 1, list.max + 1}) {
+        if (!std::isinf(v)) {
+          choices.push_back({"sweep", key, key + " = " + fmt(v, list.decimals)});
+        }
+      }
+    }
+    const Plant& p = pick(rng, choices);
+    m.needle = p.key;
+    plant(p.section, p.key, p.line);
   } else if (chosen == "empty-sweep-list") {
     m.needle = "empty";
     plant("sweep", "damages", "damages =");
   } else if (chosen == "unswept-axis") {
+    // A second value on a [sweep] list the kind does not sweep (the two
+    // literal ends of its domain: a lo:hi:step range could expand to one
+    // value), or a kind-only [detector] key it does not consume.
     const KindSpec& row = find_kind(kind);
-    std::vector<UnsweptPlant> candidates;
-    for (const UnsweptPlant& p : unswept_plants()) {
-      if (!row.accepts(p.bit)) candidates.push_back(p);
+    std::vector<Plant> choices;
+    for (const SweepList& list : sweep_lists()) {
+      if (row.accepts(list.bit)) continue;
+      const std::string key = list.key;
+      const std::string two =
+          list.names.empty()
+              ? fmt(list.lo, list.decimals) + ", " + fmt(list.hi, list.decimals)
+              : list.names[0] + ", " + list.names[1];
+      choices.push_back({"sweep", key, key + " = " + two});
     }
-    const UnsweptPlant& p = pick(rng, candidates);
+    if (!row.accepts(kKeyGroupThresholds)) {
+      choices.push_back(
+          {"detector", "group_min_samples", "group_min_samples = 5"});
+    }
+    if (!row.accepts(kKeyBundle)) {
+      choices.push_back({"detector", "bundle", "bundle = artifacts/fuzz.lad"});
+    }
+    const Plant& p = pick(rng, choices);
     m.needle = p.key;
     plant(p.section, p.key, p.line);
   } else if (chosen == "unterminated-header") {

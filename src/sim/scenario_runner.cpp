@@ -25,6 +25,8 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iomanip>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -584,7 +586,7 @@ void parse_echo(const KvConfig::Section& e, ScenarioSpec& spec) {
 
 void parse_mmse(const KvConfig::Section& m, ScenarioSpec& spec) {
   spec.lies = m.get_double_list("lies", spec.lies);
-  require_non_empty(spec.lies, "lies");
+  require_non_empty(spec.lies.size(), "lies");
   spec.trials = get_positive_int(m, "trials", spec.trials);
   spec.dvhop_lies = m.get_double_list("dvhop_lies", spec.dvhop_lies);
   spec.dvhop_trials = get_positive_int(m, "dvhop_trials", spec.dvhop_trials);
@@ -627,32 +629,68 @@ void parse_coop(const KvConfig::Section& c, ScenarioSpec& spec) {
 
 using Ids = std::vector<std::string>;
 
+// --- the [sweep] lists --------------------------------------------------
+
+GroupThresholdMode group_threshold_mode_from_name(const std::string& name) {
+  const std::string n = to_lower(name);
+  if (n == "global") return GroupThresholdMode::kGlobal;
+  if (n == "per_group") return GroupThresholdMode::kPerGroup;
+  LAD_REQUIRE_MSG(false, "unknown group-threshold mode '"
+                             << name << "' (known: global, per_group)");
+  return GroupThresholdMode::kGlobal;  // unreachable
+}
+
+constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+
+/// Reads `spec.*List` from [sweep]: each value through `FromName`, or,
+/// for a numeric list (FromName = nullptr), as a number in range.
+template <auto List, auto FromName>
+void read_list(const SweepList& list, const KvConfig::Section& s,
+               ScenarioSpec& spec) {
+  auto& values = spec.*List;
+  using T = typename std::decay_t<decltype(values)>::value_type;
+  values.clear();
+  if constexpr (!std::is_null_pointer_v<decltype(FromName)>) {
+    for (const std::string& name : s.get_string_list(list.key, {})) {
+      values.push_back(FromName(name));
+    }
+  } else if constexpr (std::is_integral_v<T>) {
+    for (long long v : s.get_int_list(list.key, {})) {
+      list.require_in_range(static_cast<double>(v), "sweep");
+      values.push_back(static_cast<T>(v));
+    }
+  } else {
+    for (double v : s.get_double_list(list.key, {})) {
+      list.require_in_range(v, "sweep");
+      values.push_back(v);
+    }
+  }
+}
+
+/// Completes `row` as the list `spec.*List`, whose axis value i sets
+/// `cell.*Field`.
+template <auto List, auto Field, auto FromName = nullptr>
+SweepList sweep_row(SweepList row) {
+  row.read = read_list<List, FromName>;
+  row.size = [](const ScenarioSpec& s) { return (s.*List).size(); };
+  row.set = [](const ScenarioSpec& s, std::size_t i, GridCell& c) {
+    c.*Field = (s.*List)[i];
+  };
+  if (!row.names.empty()) row.max_values = static_cast<int>(row.names.size());
+  return row;
+}
+
 // --- the grid kinds' sweep axes -----------------------------------------
 
 using detail::GridAxis;
 
 /// Whether an axis's column appears always or only while it is swept.
-enum class Shown { kAlways, kWhenSwept };
+enum Shown { kAlways, kWhenSwept };
 
-/// A [sweep] list axis: value i sets `cell.*Field = (spec.*List)[i]`, and
-/// its one column `name` prints the value with `print`.
-template <auto List, auto Field>
-GridAxis list_axis(unsigned bits, const char* name, Shown shown,
-                   void (*print)(const GridCell&, Table&)) {
-  const auto size = [](const ScenarioSpec& s) { return (s.*List).size(); };
-  return {bits, size,
-          [](const ScenarioSpec& s, std::size_t i, GridCell& c) {
-            c.*Field = (s.*List)[i];
-          },
-          {{name, shown == Shown::kAlways ? nullptr : +size, print}}};
-}
-
-GridAxis mode_axis() {
-  return list_axis<&ScenarioSpec::group_threshold_modes, &GridCell::mode>(
-      kKeyGroupThresholds, "group_mode", Shown::kWhenSwept,
-      [](const GridCell& c, Table& t) {
-        t.add(group_threshold_mode_name(c.mode));
-      });
+/// The axis over [sweep] list `key`: value i sets the list's cell field.
+GridAxis list_axis(const char* key, Shown shown) {
+  const SweepList& list = sweep_list(key);
+  return {list.bit, list.size, list.set, {{&list, shown == kAlways}}};
 }
 
 /// The (actual_sigma, jitter) pairs of mismatch_pairs: one axis in either
@@ -663,62 +701,97 @@ GridAxis mismatch_axis() {
           [](const ScenarioSpec& s, std::size_t i, GridCell& c) {
             std::tie(c.actual_sigma, c.jitter) = mismatch_pairs(s)[i];
           },
-          {{"actual_sigma",
-            [](const ScenarioSpec& s) { return s.actual_sigmas.size(); },
-            [](const GridCell& c, Table& t) { t.add(c.actual_sigma, 1); }},
-           {"jitter", [](const ScenarioSpec& s) { return s.jitters.size(); },
-            [](const GridCell& c, Table& t) { t.add(c.jitter, 1); }}}};
-}
-
-GridAxis shape_axis() {
-  return list_axis<&ScenarioSpec::shapes, &GridCell::shape>(
-      kMultiShapes, "shape", Shown::kWhenSwept,
-      [](const GridCell& c, Table& t) {
-        t.add(deployment_shape_name(c.shape));
-      });
-}
-
-GridAxis localizer_axis() {
-  return list_axis<&ScenarioSpec::localizers, &GridCell::localizer>(
-      kMultiLocalizers, "localizer", Shown::kWhenSwept,
-      [](const GridCell& c, Table& t) { t.add(c.localizer); });
-}
-
-GridAxis density_axis() {
-  return list_axis<&ScenarioSpec::densities, &GridCell::m>(
-      kKeyDensities, "m", Shown::kAlways,
-      [](const GridCell& c, Table& t) { t.add(c.m); });
-}
-
-GridAxis metric_axis() {
-  return list_axis<&ScenarioSpec::metrics, &GridCell::metric>(
-      kMultiMetrics, "metric", Shown::kWhenSwept,
-      [](const GridCell& c, Table& t) { t.add(metric_name(c.metric)); });
-}
-
-GridAxis attack_axis() {
-  return list_axis<&ScenarioSpec::attacks, &GridCell::attack>(
-      kMultiAttacks, "attack", Shown::kWhenSwept,
-      [](const GridCell& c, Table& t) {
-        t.add(attack_class_name(c.attack));
-      });
-}
-
-GridAxis compromised_axis(Shown shown) {
-  return list_axis<&ScenarioSpec::compromised, &GridCell::x>(
-      kMultiCompromised, "x", shown,
-      [](const GridCell& c, Table& t) { t.add(c.x, 2); });
-}
-
-GridAxis damage_axis() {
-  return list_axis<&ScenarioSpec::damages, &GridCell::d>(
-      kMultiDamages, "D", Shown::kAlways,
-      [](const GridCell& c, Table& t) { t.add(c.d, 0); });
+          {{&sweep_list("actual_sigmas"), false},
+           {&sweep_list("jitters"), false}}};
 }
 
 }  // namespace
 
-// --- the table ----------------------------------------------------------
+// --- the tables ---------------------------------------------------------
+
+const std::vector<SweepList>& sweep_lists() {
+  using Spec = ScenarioSpec;
+  // Row: key, bit, value names or valid [min, max] plus the fuzz domain
+  // (lo, hi, decimals, max values), fuzz chance, dim column, printer.  A
+  // list a kind requires (densities) is always generated (chance 1).
+  static const std::vector<SweepList> lists = {
+      sweep_row<&Spec::shapes, &GridCell::shape, deployment_shape_from_name>(
+          {.key = "shapes", .bit = kMultiShapes,
+           .names = {"grid", "hex", "random"}, .chance = 0.5,
+           .column = "shape", .print = [](const GridCell& c, Table& t) {
+             t.add(deployment_shape_name(c.shape));
+           }}),
+      sweep_row<&Spec::localizers, &GridCell::localizer,
+                detail::known_localizer>(
+          {.key = "localizers", .bit = kMultiLocalizers,
+           .names = {"beaconless-mle", "weighted-centroid", "dv-hop",
+                     "amorphous", "truth-noise:10"},
+           .chance = 0.5, .column = "localizer",
+           .print = [](const GridCell& c, Table& t) { t.add(c.localizer); }}),
+      sweep_row<&Spec::actual_sigmas, &GridCell::actual_sigma>(
+          {.key = "actual_sigmas", .bit = kMultiActualSigmas, .min = 0,
+           .max = kUnbounded, .lo = 20, .hi = 80, .max_values = 3,
+           .chance = 0.4, .column = "actual_sigma",
+           .print = [](const GridCell& c, Table& t) {
+             t.add(c.actual_sigma, 1);
+           }}),
+      sweep_row<&Spec::jitters, &GridCell::jitter>(
+          {.key = "jitters", .bit = kMultiJitters, .min = 0, .max = kUnbounded,
+           .lo = 0.5, .hi = 10, .decimals = 1, .max_values = 2, .chance = 0.4,
+           .column = "jitter",
+           .print = [](const GridCell& c, Table& t) { t.add(c.jitter, 1); }}),
+      sweep_row<&Spec::metrics, &GridCell::metric, metric_from_name>(
+          {.key = "metrics", .bit = kMultiMetrics,
+           .names = {"diff", "add-all", "prob"}, .chance = 0.7,
+           .column = "metric", .print = [](const GridCell& c, Table& t) {
+             t.add(metric_name(c.metric));
+           }}),
+      sweep_row<&Spec::attacks, &GridCell::attack, attack_class_from_name>(
+          {.key = "attacks", .bit = kMultiAttacks,
+           .names = {"dec-bounded", "dec-only"}, .chance = 0.7,
+           .column = "attack", .print = [](const GridCell& c, Table& t) {
+             t.add(attack_class_name(c.attack));
+           }}),
+      sweep_row<&Spec::damages, &GridCell::d>(
+          {.key = "damages", .bit = kMultiDamages, .min = 0, .max = kUnbounded,
+           .lo = 40, .hi = 400, .max_values = 4, .chance = 0.8, .column = "D",
+           .print = [](const GridCell& c, Table& t) { t.add(c.d, 0); }}),
+      sweep_row<&Spec::compromised, &GridCell::x>(
+          {.key = "compromised", .bit = kMultiCompromised, .min = 0, .max = 1,
+           .lo = 0.05, .hi = 0.4, .decimals = 2, .max_values = 4,
+           .chance = 0.7, .column = "x",
+           .print = [](const GridCell& c, Table& t) { t.add(c.x, 2); }}),
+      sweep_row<&Spec::densities, &GridCell::m>(
+          {.key = "densities", .bit = kKeyDensities, .min = 1,
+           .max = std::numeric_limits<int>::max(), .lo = 50, .hi = 400,
+           .max_values = 3, .chance = 1.0, .column = "m",
+           .print = [](const GridCell& c, Table& t) { t.add(c.m); }}),
+      sweep_row<&Spec::group_threshold_modes, &GridCell::mode,
+                group_threshold_mode_from_name>(
+          {.key = "group_thresholds", .bit = kKeyGroupThresholds,
+           .names = {"global", "per_group"}, .chance = 0.4,
+           .column = "group_mode", .print = [](const GridCell& c, Table& t) {
+             t.add(group_threshold_mode_name(c.mode));
+           }}),
+  };
+  return lists;
+}
+
+const SweepList& sweep_list(const std::string& key) {
+  for (const SweepList& list : sweep_lists()) {
+    if (key == list.key) return list;
+  }
+  LAD_REQUIRE_MSG(false, "unknown [sweep] list '" << key << "'");
+  return sweep_lists().front();  // unreachable
+}
+
+void SweepList::require_in_range(double v, const char* section) const {
+  // 15 digits: an int bound such as densities' prints in full.
+  LAD_REQUIRE_MSG(v >= min && v <= max,
+                  std::setprecision(15)
+                      << "[" << section << "] " << key << " must be in ["
+                      << min << "," << max << "], got " << v);
+}
 
 const std::vector<KindSpec>& kind_table() {
   using S = ScenarioRunState;
@@ -730,8 +803,8 @@ const std::vector<KindSpec>& kind_table() {
   // before x, dr-sweep and density-sweep x before D.
   static const std::vector<KindSpec> table = {
       {ExperimentKind::kRoc, "roc", "", 0, nullptr, {},
-       {metric_axis(), attack_axis(), damage_axis(),
-        compromised_axis(Shown::kWhenSwept)},
+       {list_axis("metrics", kWhenSwept), list_axis("attacks", kWhenSwept),
+        list_axis("damages", kAlways), list_axis("compromised", kWhenSwept)},
        nullptr,
        [](const Spec& s) {
          return s.curve_points > 0 ? Ids{"summary", "curves"}
@@ -739,13 +812,15 @@ const std::vector<KindSpec>& kind_table() {
        },
        &S::run_roc},
       {ExperimentKind::kDrSweep, "dr-sweep", "", 0, nullptr, {},
-       {mode_axis(), mismatch_axis(), shape_axis(), localizer_axis(),
-        metric_axis(), attack_axis(), compromised_axis(Shown::kAlways),
-        damage_axis()},
+       {list_axis("group_thresholds", kWhenSwept), mismatch_axis(),
+        list_axis("shapes", kWhenSwept), list_axis("localizers", kWhenSwept),
+        list_axis("metrics", kWhenSwept), list_axis("attacks", kWhenSwept),
+        list_axis("compromised", kAlways), list_axis("damages", kAlways)},
        nullptr, [](const Spec&) { return Ids{"dr"}; }, &S::run_dr},
       {ExperimentKind::kDensitySweep, "density-sweep", "", 0, nullptr, {},
-       {density_axis(), metric_axis(), attack_axis(),
-        compromised_axis(Shown::kAlways), damage_axis()},
+       {list_axis("densities", kAlways), list_axis("metrics", kWhenSwept),
+        list_axis("attacks", kWhenSwept), list_axis("compromised", kAlways),
+        list_axis("damages", kAlways)},
        nullptr, [](const Spec&) { return Ids{"density"}; },
        &S::run_density},
       {ExperimentKind::kDeploymentPdf, "deployment-pdf", "pdf", 0, parse_pdf,
@@ -848,7 +923,7 @@ std::vector<std::string> KindSpec::dim_columns(const ScenarioSpec& spec) const {
   std::vector<std::string> dims;
   for (const GridAxis& axis : axes) {
     for (const GridAxis::Column& column : axis.columns) {
-      if (column.shown(spec)) dims.push_back(column.name);
+      if (column.shown(spec)) dims.push_back(column.list->column);
     }
   }
   return dims;
@@ -858,7 +933,7 @@ void KindSpec::add_dims(const ScenarioSpec& spec, const GridCell& cell,
                         Table& row) const {
   for (const GridAxis& axis : axes) {
     for (const GridAxis::Column& column : axis.columns) {
-      if (column.shown(spec)) column.print(cell, row);
+      if (column.shown(spec)) column.list->print(cell, row);
     }
   }
 }

@@ -1,7 +1,8 @@
 // Invariants of the experiment-kind table (sim/kind_table.h): every row's
 // name, own section and section-key domains must agree with what the
-// parser accepts, the fuzzer's generator must reach every row, and the
-// grid kinds' axis walk must match the loop nests it replaced.
+// parser accepts, so must every [sweep] list row's domain and range, the
+// fuzzer's generator must reach every row, and the grid kinds' axis walk
+// must match the loop nests it replaced.
 #include "sim/kind_table.h"
 
 #include <gtest/gtest.h>
@@ -122,6 +123,52 @@ TEST(KindTable, SectionKeyDomainsAreAccepted) {
       }
     }
   }
+}
+
+// The fuzzer draws [sweep] values from each list row's names or [lo, hi],
+// so every name and both ends must parse on a kind that sweeps the list;
+// a numeric list's min - 1 must be rejected with the list named.  The rows
+// cover every [sweep] bit once, in bit order.
+TEST(KindTable, SweepListDomainsAndRangesAreEnforced) {
+  unsigned bits = 0;
+  for (const SweepList& list : sweep_lists()) {
+    SCOPED_TRACE(list.key);
+    EXPECT_GT(static_cast<unsigned>(list.bit), bits);
+    bits |= list.bit;
+    EXPECT_EQ(&sweep_list(list.key), &list);
+    const KindSpec* sweeper = nullptr;
+    for (const KindSpec& row : kind_table()) {
+      if (row.accepts(list.bit) && sweeper == nullptr) sweeper = &row;
+    }
+    ASSERT_NE(sweeper, nullptr);
+    const auto spec_with = [&](const std::string& value) {
+      std::string text = "[scenario]\nname = k\nexperiment = " +
+                         std::string(sweeper->name) + "\n[sweep]\n" +
+                         list.key + " = " + value + "\n";
+      if (sweeper->accepts(kKeyDensities) && list.bit != kKeyDensities) {
+        text += "densities = 100\n";
+      }
+      return text;
+    };
+    std::vector<std::string> values = list.names;
+    if (list.names.empty()) {
+      values = {format_double(list.lo, list.decimals),
+                format_double(list.hi, list.decimals)};
+      EXPECT_TRUE(list.min <= list.lo && list.hi <= list.max);
+      try {
+        parse(spec_with(format_double(list.min - 1, list.decimals)));
+        ADD_FAILURE() << "min - 1 accepted";
+      } catch (const AssertionError& e) {
+        EXPECT_NE(std::string(e.what()).find("[sweep] " + std::string(list.key)),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    for (const std::string& value : values) {
+      EXPECT_NO_THROW(check_scn_accepted(spec_with(value))) << value;
+    }
+  }
+  EXPECT_EQ(bits, (kKeyGroupThresholds << 1) - 1);
 }
 
 // The same streams ScenarioFuzz.GeneratedSpecsAreAccepted replays must

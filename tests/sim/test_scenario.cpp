@@ -201,6 +201,41 @@ TEST(ScenarioSpec, SweepValueRangesAreCheckedAtParseTime) {
   // One bad value anywhere in a list rejects the spec.
   expect_rejected("roc", "compromised = 0.1, 0.2, 1.01", "compromised");
   expect_rejected("roc", "damages = 40, -1, 80", "damages");
+  // A density below one node per group, a negative deployment sigma or
+  // jitter: each would die at run time or run as the no-mismatch row.
+  expect_rejected("density-sweep", "densities = 0", "densities");
+  expect_rejected("density-sweep", "densities = 100, -5", "densities");
+  for (const std::string kind : {"roc", "dr-sweep"}) {
+    SCOPED_TRACE(kind);
+    expect_rejected(kind, "actual_sigmas = -10", "actual_sigmas");
+    expect_rejected(kind, "jitters = -1", "jitters");
+    EXPECT_EQ(parse(kind, "actual_sigmas = 0").actual_sigmas.front(), 0.0);
+    EXPECT_EQ(parse(kind, "jitters = 0").jitters.front(), 0.0);
+  }
+  EXPECT_EQ(parse("density-sweep", "densities = 1").densities.front(), 1);
+}
+
+// [quick] densities share the [sweep] densities range, and gz_omega has
+// GzTable's floor of 8; both are checked before any pipeline is built.
+TEST(ScenarioSpec, QuickDensitiesAndGzOmegaAreCheckedAtParseTime) {
+  const auto message = [](const std::string& body) {
+    try {
+      ScenarioSpec::from_config(KvConfig::parse_string(
+          "[scenario]\nname = x\nexperiment = density-sweep\n"
+          "[sweep]\ndensities = 100\n" + body));
+    } catch (const AssertionError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_NE(message("[quick]\ndensities = -3\n").find("[quick] densities"),
+            std::string::npos);
+  EXPECT_NE(message("[quick]\ndensities = 50, 0\n").find("[quick] densities"),
+            std::string::npos);
+  EXPECT_NE(message("[pipeline]\ngz_omega = 4\n").find("[pipeline] gz_omega"),
+            std::string::npos);
+  EXPECT_EQ(message("[quick]\ndensities = 1\n[pipeline]\ngz_omega = 8\n"),
+            "accepted");
 }
 
 TEST(ScenarioSpec, UnsweptMultiValuedAxesAreRejected) {

@@ -9,7 +9,9 @@
 //   * neighbor-query throughput of the spatial index, single
 //     (BM_NeighborQuery) and batched (BM_ObserveMany/BM_ObserveGrid) —
 //     the docs/PERFORMANCE.md before/after surface;
-//   * end-to-end Detector::check and MLE localization;
+//   * end-to-end Detector::check, MLE localization and location
+//     correction of Dec-Bounded / Dec-Only tainted observations (the one
+//     likelihood search, GroupLikelihood::maximize);
 //   * one victim's five x budgets as five greedy_taint calls against one
 //     ladder walk (BM_GreedyTaintLadder);
 //   * the attack pass per (victim, cell), one pass per cell against one
@@ -22,6 +24,7 @@
 
 #include "attack/adversary.h"
 #include "attack/greedy.h"
+#include "core/corrector.h"
 #include "core/detector.h"
 #include "core/metric.h"
 #include "deploy/config.h"
@@ -299,6 +302,34 @@ void BM_MleLocalize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MleLocalize);
+
+/// One LocationCorrector::correct per iteration over the sampled victims'
+/// observations, greedy-tainted (Diff, x = 20%) toward a claim displaced
+/// by D = 120, as tab_correction corrects them.  Arg: class (Dec-Bounded,
+/// Dec-Only).
+void BM_CorrectorCorrect(benchmark::State& state) {
+  const AttackClass cls = static_cast<AttackClass>(state.range(0));
+  const SampledInputs& in = bench_inputs();
+  const int m = bench_config().nodes_per_group;
+  std::vector<Observation> tainted;
+  for (std::size_t i = 0; i < in.observations.size(); ++i) {
+    const Observation& a = in.observations[i];
+    tainted.push_back(
+        greedy_taint(a,
+                     bench_model().expected_observation(
+                         in.locations[i] + Vec2{120.0, 0.0}, bench_gz()),
+                     m, MetricKind::kDiff, cls,
+                     static_cast<int>(std::lround(0.2 * a.total())))
+            .tainted);
+  }
+  const LocationCorrector corrector(bench_model(), bench_gz());
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(corrector.correct(tainted[i]));
+    i = (i + 1) % tainted.size();
+  }
+}
+BENCHMARK(BM_CorrectorCorrect)->ArgName("class")->Arg(0)->Arg(1);
 
 void BM_NetworkDeployment(benchmark::State& state) {
   const DeploymentModel& model = bench_model();

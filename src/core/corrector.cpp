@@ -1,11 +1,12 @@
 #include "core/corrector.h"
 
 #include <algorithm>
-#include <array>
+#include <cstddef>
 #include <limits>
 
 #include "core/serialize.h"
 #include "deploy/deployment_model.h"
+#include "deploy/group_likelihood.h"
 #include "deploy/gz_table.h"
 #include "deploy/observation.h"
 #include "geom/aabb.h"
@@ -14,11 +15,26 @@
 
 namespace lad {
 
+namespace {
+
+/// The corrector's per-group term: the plain term, floored at -cap_g.
+struct CappedTerm {
+  const GroupLikelihood& likelihood;
+  const std::vector<double>& caps;
+
+  double operator()(std::size_t g, int k, double d2) const {
+    return std::max(likelihood.term_at_d2(k, d2), -caps[g]);
+  }
+};
+
+}  // namespace
+
 LocationCorrector::LocationCorrector(const DeploymentModel& model,
                                      const GzTable& gz, double penalty_cap,
                                      int seeds, double tol_meters)
     : model_(&model), likelihood_(model, gz), penalty_cap_(penalty_cap),
-      seeds_(seeds), tol_meters_(tol_meters) {
+      seeds_(seeds), tol_meters_(tol_meters),
+      group_caps_(static_cast<std::size_t>(model.num_groups()), penalty_cap) {
   LAD_REQUIRE_MSG(penalty_cap > 0, "penalty cap must be positive");
   LAD_REQUIRE_MSG(seeds >= 1, "need at least one search seed");
   LAD_REQUIRE_MSG(tol_meters > 0, "tolerance must be positive");
@@ -53,13 +69,7 @@ double LocationCorrector::cap_for_group(int group) const {
   LAD_REQUIRE_MSG(group >= 0 && group < model_->num_groups(),
                   "group " << group << " out of range [0, "
                            << model_->num_groups() << ")");
-  return group_caps_.empty() ? penalty_cap_
-                             : group_caps_[static_cast<std::size_t>(group)];
-}
-
-double LocationCorrector::group_term(int count, Vec2 theta, int group) const {
-  return std::max(likelihood_.term(count, theta, group),
-                  -cap_for_group(group));
+  return group_caps_[static_cast<std::size_t>(group)];
 }
 
 double LocationCorrector::robust_log_likelihood(const Observation& obs,
@@ -67,38 +77,7 @@ double LocationCorrector::robust_log_likelihood(const Observation& obs,
   LAD_REQUIRE_MSG(obs.num_groups() ==
                       static_cast<std::size_t>(model_->num_groups()),
                   "observation size mismatch");
-  double ll = 0.0;
-  for (std::size_t g = 0; g < obs.num_groups(); ++g) {
-    ll += group_term(obs.counts[g], theta, static_cast<int>(g));
-  }
-  return ll;
-}
-
-Vec2 LocationCorrector::pattern_search(const Observation& obs,
-                                       Vec2 seed) const {
-  const Aabb field = model_->config().field();
-  Vec2 best = field.clamp(seed);
-  double best_ll = robust_log_likelihood(obs, best);
-  double pitch = model_->config().field_side /
-                 (2.0 * std::max(model_->config().grid_nx,
-                                 model_->config().grid_ny));
-  static constexpr std::array<Vec2, 8> kDirs = {
-      Vec2{1, 0},  Vec2{-1, 0}, Vec2{0, 1},  Vec2{0, -1},
-      Vec2{1, 1},  Vec2{1, -1}, Vec2{-1, 1}, Vec2{-1, -1}};
-  while (pitch >= tol_meters_) {
-    bool improved = false;
-    for (const Vec2& d : kDirs) {
-      const Vec2 cand = field.clamp(best + d * pitch);
-      const double ll = robust_log_likelihood(obs, cand);
-      if (ll > best_ll) {
-        best_ll = ll;
-        best = cand;
-        improved = true;
-      }
-    }
-    if (!improved) pitch /= 2.0;
-  }
-  return best;
+  return likelihood_.sum(obs, theta, CappedTerm{likelihood_, group_caps_});
 }
 
 Vec2 LocationCorrector::max_prior_deployment_point() const {
@@ -161,23 +140,22 @@ CorrectionResult LocationCorrector::correct(const Observation& obs) const {
         model_->deployment_point(by_count[static_cast<std::size_t>(s)].second));
   }
 
-  Vec2 best{};
-  double best_ll = -std::numeric_limits<double>::infinity();
+  const Aabb field = model_->config().field();
+  const CappedTerm term{likelihood_, group_caps_};
+  LikelihoodPeak best{{}, -std::numeric_limits<double>::infinity()};
   for (const Vec2& seed : starts) {
-    const Vec2 cand = pattern_search(obs, seed);
-    const double ll = robust_log_likelihood(obs, cand);
-    if (ll > best_ll) {
-      best_ll = ll;
-      best = cand;
-    }
+    const LikelihoodPeak peak =
+        likelihood_.maximize(obs, field.clamp(seed), tol_meters_, term);
+    if (peak.ll > best.ll) best = peak;
   }
 
   CorrectionResult result;
-  result.corrected = best;
-  result.robust_ll = best_ll;
+  result.corrected = best.point;
+  result.robust_ll = best.ll;
+  const std::vector<Vec2>& points = model_->deployment_points();
   for (std::size_t g = 0; g < obs.num_groups(); ++g) {
-    if (group_term(obs.counts[g], best, static_cast<int>(g)) <=
-        -cap_for_group(static_cast<int>(g))) {
+    if (term(g, obs.counts[g], distance2(best.point, points[g])) <=
+        -group_caps_[g]) {
       result.capped_groups.push_back(static_cast<int>(g));
     }
   }

@@ -87,15 +87,12 @@ class LocationCorrector {
   Vec2 max_prior_deployment_point() const;
 
  private:
-  Vec2 pattern_search(const Observation& obs, Vec2 seed) const;
-  double group_term(int count, Vec2 theta, int group) const;
-
   const DeploymentModel* model_;
   GroupLikelihood likelihood_;
   double penalty_cap_;
   int seeds_;
   double tol_meters_;
-  /// Per-group caps; empty until apply_group_spread installs them.
+  /// Per-group caps: penalty_cap_ until apply_group_spread conditions them.
   std::vector<double> group_caps_;
 };
 

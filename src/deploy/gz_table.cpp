@@ -21,9 +21,9 @@ double GzTable::at(Vec2 theta, Vec2 deployment_point) const {
   return (*this)(distance(theta, deployment_point));
 }
 
-double GzTable::max_abs_error(int probes) const {
+double GzTable::max_abs_error(int probes, int threads) const {
   return table_.max_abs_error(
-      [this](double z) { return gz_exact(z, params_); }, probes);
+      [this](double z) { return gz_exact(z, params_); }, probes, threads);
 }
 
 }  // namespace lad

@@ -39,8 +39,9 @@ class GzTable {
   double support_radius() const { return table_.hi(); }
 
   /// Max absolute interpolation error vs the exact integral (for tests and
-  /// the accuracy ablation).
-  double max_abs_error(int probes = 2000) const;
+  /// the accuracy ablation), probed on up to `threads` threads; the same
+  /// at every thread count.
+  double max_abs_error(int probes = 2000, int threads = 1) const;
 
  private:
   GzParams params_;

@@ -9,8 +9,9 @@
 //
 // Search strategy (this is the part ref. [8] leaves to the implementer):
 //  1. seed at the observation-weighted centroid of deployment points,
-//  2. coarse-to-fine pattern search: evaluate the likelihood on a 5x5
-//     stencil around the incumbent, shrink the stencil when no improvement,
+//  2. coarse-to-fine pattern search (GroupLikelihood::maximize, shared with
+//     the location corrector): evaluate the likelihood on the 8-neighbour
+//     stencil around the incumbent, halve the pitch when no improvement,
 //  3. stop when the stencil pitch drops below `tol_meters`.
 // The log-likelihood is smooth and unimodal near the truth for realistic
 // observations, so this converges in a few dozen evaluations.

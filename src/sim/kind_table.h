@@ -81,6 +81,8 @@ struct GridCell {
   AttackClass attack = AttackClass::kDecBounded;
   double x = 0.0;
   double d = 0.0;
+
+  bool operator==(const GridCell&) const = default;
 };
 
 /// One [sweep] list.  Only the rows of sweep_lists() build these.

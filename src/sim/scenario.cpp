@@ -44,6 +44,22 @@ const char* kind_accepting(KindAccepts bit) {
   return "?";
 }
 
+/// A repeated value would expand to a second identical work item: throws,
+/// naming the list and the value as its dim column prints it.
+void require_distinct(const SweepList& list, const ScenarioSpec& spec) {
+  std::vector<GridCell> cells(list.size(spec));
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    list.set(spec, i, cells[i]);
+    for (std::size_t j = 0; j < i; ++j) {
+      if (cells[j] != cells[i]) continue;
+      Table shown({list.column});
+      list.print(cells[i], shown.new_row());
+      LAD_REQUIRE_MSG(false, "[sweep] " << list.key << " repeats "
+                                        << shown.cell(0, 0));
+    }
+  }
+}
+
 }  // namespace
 
 namespace detail {
@@ -187,10 +203,20 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
     if (q->has("dvhop_trials")) {
       spec.quick.dvhop_trials = get_positive_int(*q, "dvhop_trials", 30);
     }
+    // Dead configuration anywhere but its kind (fail-fast contract).
+    LAD_REQUIRE_MSG(!q->has("densities") || kind.accepts(kKeyDensities),
+                    "[quick] densities is only consumed by "
+                        << kind_accepting(kKeyDensities) << " (this is "
+                        << kind.name << ")");
     for (long long m : q->get_int_list("densities", {})) {
       sweep_list("densities").require_in_range(static_cast<double>(m),
                                                "quick");
-      spec.quick.densities.push_back(static_cast<int>(m));
+      const int density = static_cast<int>(m);
+      std::vector<int>& densities = spec.quick.densities;
+      LAD_REQUIRE_MSG(std::find(densities.begin(), densities.end(),
+                                density) == densities.end(),
+                      "[quick] densities repeats " << density);
+      densities.push_back(density);
     }
   }
 
@@ -212,7 +238,13 @@ ScenarioSpec ScenarioSpec::from_config(const KvConfig& config) {
                                  << kind.name << ")");
       list.read(list, *s, spec);
       require_non_empty(list.size(spec), list.key);
+      require_distinct(list, spec);
     }
+    LAD_REQUIRE_MSG(!s->has("mismatch_coupling") ||
+                        kind.accepts(kMultiActualSigmas),
+                    "[sweep] mismatch_coupling is only consumed by "
+                        << kind_accepting(kMultiActualSigmas) << " (this is "
+                        << kind.name << ")");
     const std::string coupling = s->get_string("mismatch_coupling", "axes");
     LAD_REQUIRE_MSG(coupling == "axes" || coupling == "product",
                     "[sweep] mismatch_coupling must be 'axes' or 'product', "

@@ -35,8 +35,14 @@ std::string fmt(double v, int decimals) {
   return format_double(v, decimals);
 }
 
-// A comma list of `n` doubles drawn from [lo, hi], strictly increasing so
-// it can also render as a lo:hi:step range.
+/// Appends `v` unless it repeats the last value (the lists below never
+/// decrease, so that keeps them distinct, as the parser requires).
+void push_distinct(std::vector<std::string>& out, std::string v) {
+  if (out.empty() || out.back() != v) out.push_back(std::move(v));
+}
+
+// A comma list of at most `n` distinct doubles drawn from [lo, hi],
+// increasing so it can also render as a lo:hi:step range.
 std::string double_values(Rng& rng, int n, double lo, double hi,
                           int decimals) {
   // Range syntax with a positive step; bounded expansion by construction.
@@ -51,11 +57,12 @@ std::string double_values(Rng& rng, int n, double lo, double hi,
   double v = lo;
   for (int i = 0; i < n; ++i) {
     v += rng.uniform(0.0, (hi - lo) / n);
-    out.push_back(fmt(std::min(v, hi), decimals));
+    push_distinct(out, fmt(std::min(v, hi), decimals));
   }
   return join(out, ", ");
 }
 
+/// At most `n` distinct increasing integers drawn from [lo, hi].
 std::string int_values(Rng& rng, int n, int lo, int hi) {
   if (n > 1 && chance(rng, 0.35)) {
     const int start = draw_int(rng, lo, (lo + hi) / 2);
@@ -68,7 +75,7 @@ std::string int_values(Rng& rng, int n, int lo, int hi) {
   int v = lo;
   for (int i = 0; i < n; ++i) {
     v += draw_int(rng, 1, std::max(1, (hi - lo) / std::max(1, n)));
-    out.push_back(std::to_string(std::min(v, hi)));
+    push_distinct(out, std::to_string(std::min(v, hi)));
   }
   return join(out, ", ");
 }

@@ -1233,14 +1233,15 @@ ScenarioResult ScenarioRunState::run_gz(const ShardRange& shard) {
   const GzParams params{spec.pipeline.deploy.radio_range,
                         spec.pipeline.deploy.sigma};
   const int m = spec.pipeline.deploy.nodes_per_group;
+  const int threads = resolve_threads(spec.pipeline.threads);
   ItemScheduler sched(result, spec.jobs);
   for (std::size_t i = 0; i < spec.omegas.size(); ++i) {
     const long long item = static_cast<long long>(i);
     if (!shard.contains(item)) continue;
     const int omega = static_cast<int>(spec.omegas[i]);
-    sched.add(item, [params, m, omega](ItemSink& sink) {
-      const GzTable table(params, omega);
-      const double err = table.max_abs_error(2000);
+    sched.add(item, [params, m, omega, threads](ItemSink& sink) {
+      const GzTable table(params, omega, threads);
+      const double err = table.max_abs_error(2000, threads);
       sink.row(0)
           .add(omega)
           .add(err, 8)

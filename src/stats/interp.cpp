@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
 #include "util/assert.h"
 #include "util/thread_pool.h"
@@ -43,13 +45,20 @@ double InterpTable::operator()(double x) const {
 }
 
 double InterpTable::max_abs_error(const std::function<double(double)>& f,
-                                  int probes) const {
+                                  int probes, int threads) const {
   LAD_REQUIRE_MSG(probes > 0, "need at least one probe");
+  LAD_REQUIRE_MSG(threads >= 1, "need at least one thread, got " << threads);
+  std::vector<double> errors(static_cast<std::size_t>(probes));
+  parallel_for_shared(
+      errors.size(),
+      [&](std::size_t i) {
+        const double x =
+            lo_ + (hi_ - lo_) * (static_cast<double>(i) + 0.5) / probes;
+        errors[i] = std::abs((*this)(x) - f(x));
+      },
+      static_cast<std::size_t>(threads));
   double worst = 0.0;
-  for (int i = 0; i < probes; ++i) {
-    const double x = lo_ + (hi_ - lo_) * (i + 0.5) / probes;
-    worst = std::max(worst, std::abs((*this)(x) - f(x)));
-  }
+  for (double e : errors) worst = std::max(worst, e);
   return worst;
 }
 

@@ -32,9 +32,11 @@ class InterpTable {
   int omega() const { return static_cast<int>(values_.size()) - 1; }
   const std::vector<double>& values() const { return values_; }
 
-  /// Maximum absolute error against f over `probes` midpoint samples.
+  /// Maximum absolute error against f over `probes` midpoint samples, on
+  /// up to `threads` threads of the shared pool (f must then be safe to
+  /// call concurrently); the result is the same at every thread count.
   double max_abs_error(const std::function<double(double)>& f,
-                       int probes = 1000) const;
+                       int probes = 1000, int threads = 1) const;
 
  private:
   double lo_, hi_, inv_step_;

@@ -377,9 +377,12 @@ TEST_F(CorrectorTest, GroupSpreadRejectsMismatchedBundle) {
 }
 
 TEST_F(CorrectorTest, MatchesScalarReferenceCorrection) {
-  // Benign, greedy-tainted (both attack classes), all-zero and one-hot
-  // observations, under the base caps and under bundle-conditioned ones:
-  // same estimate, bit-identical robust_ll, same capped groups.
+  // Benign, greedy-tainted (both attack classes), all-zero, one-hot and
+  // seeded random observations, and nodes at the field edge (where the
+  // clamp folds stencil points onto each other), under the base caps and
+  // under bundle-conditioned ones: the shared search, with its revisit
+  // skip and early exit, must give the same estimate, bit-identical
+  // robust_ll and the same capped groups as the full-sum loop.
   DetectorSpec spec;
   spec.metric = MetricKind::kDiff;
   spec.threshold = 10.0;
@@ -400,8 +403,35 @@ TEST_F(CorrectorTest, MatchesScalarReferenceCorrection) {
       cases.push_back(one_hot);
     }
   }
+  std::vector<std::size_t> nodes;
+  for (int t = 0; t < 6; ++t) nodes.push_back(in_field_victim());
+  // The nodes nearest each corner and each edge midpoint of the field.
+  const Aabb field = cfg_.field();
+  const Vec2 mid = (field.lo + field.hi) * 0.5;
+  for (const Vec2 target :
+       {field.lo, field.hi, Vec2{field.lo.x, field.hi.y},
+        Vec2{field.hi.x, field.lo.y}, Vec2{field.lo.x, mid.y},
+        Vec2{field.hi.x, mid.y}, Vec2{mid.x, field.lo.y},
+        Vec2{mid.x, field.hi.y}}) {
+    std::size_t nearest = 0;
+    for (std::size_t i = 1; i < net_.num_nodes(); ++i) {
+      if (distance2(net_.position(i), target) <
+          distance2(net_.position(nearest), target)) {
+        nearest = i;
+      }
+    }
+    nodes.push_back(nearest);
+  }
   for (int t = 0; t < 6; ++t) {
-    const std::size_t node = in_field_victim();
+    Observation random(groups);
+    for (int& c : random.counts) {
+      if (rng_.uniform01() < 0.15) {
+        c = static_cast<int>(rng_.uniform_int(0LL, m));
+      }
+    }
+    cases.push_back(random);
+  }
+  for (const std::size_t node : nodes) {
     const Observation a = net_.observe(node);
     cases.push_back(a);
     const Vec2 le =

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -13,6 +14,7 @@
 #include "deploy/config.h"
 #include "deploy/deployment_model.h"
 #include "deploy/gz_table.h"
+#include "deploy/observation.h"
 #include "geom/aabb.h"
 #include "geom/vec2.h"
 #include "rng/rng.h"
@@ -135,6 +137,53 @@ TEST_P(GroupLikelihoodOracle, FarThresholdIsTheTablesOwnSupportTest) {
   // At and past the threshold the term is the floored constant.
   EXPECT_EQ(bits(likelihood_.term_at_d2(1, far)),
             bits(log_binomial_pmf(1, m, GroupLikelihood::kPFloor)));
+}
+
+TEST_P(GroupLikelihoodOracle, EveryTermIsAtMostZero) {
+  // What makes GroupLikelihood::sum's early exit exact: no term can raise
+  // a partial sum.  log C(m, 0) and log C(m, m) must be exactly 0, or a
+  // k = 0 / k = m term at g ~ 0 / g ~ 1 would round above it.
+  const int m = cfg_.nodes_per_group;
+  EXPECT_EQ(bits(log_binomial_coefficient(m, 0)), bits(0.0));
+  EXPECT_EQ(bits(log_binomial_coefficient(m, m)), bits(0.0));
+  const double far = likelihood_.far_d2();
+  std::vector<double> d2s = {0.0, std::nextafter(far, 0.0), far,
+                             std::nextafter(far, 1e300)};
+  for (int i = 0; i <= 256; ++i) d2s.push_back(2.0 * far * i / 256.0);
+  for (double d2 : d2s) {
+    for (int k = 0; k <= m; ++k) {
+      const double term = likelihood_.term_at_d2(k, d2);
+      ASSERT_LE(term, 0.0) << "k=" << k << " d2=" << d2;
+    }
+  }
+}
+
+TEST_P(GroupLikelihoodOracle, SumStopsOnlyOnceItCannotBeatTheFloor) {
+  // Below the floor the partial sum is returned (it is <= floor and >= the
+  // full sum); above it, the full sum's very bits.
+  Rng rng(0x53554d31ull + static_cast<std::uint64_t>(GetParam().m));
+  const Aabb field = cfg_.field();
+  const auto plain = [this](std::size_t, int k, double d2) {
+    return likelihood_.term_at_d2(k, d2);
+  };
+  for (int trial = 0; trial < 40; ++trial) {
+    Observation obs(static_cast<std::size_t>(model_.num_groups()));
+    for (int& c : obs.counts) {
+      c = static_cast<int>(rng.uniform_int(0LL, cfg_.nodes_per_group));
+    }
+    const Vec2 theta{rng.uniform(field.lo.x, field.hi.x),
+                     rng.uniform(field.lo.y, field.hi.y)};
+    const double full = likelihood_.sum(obs, theta, plain);
+    for (double floor : {full - 1.0, full, full + 1.0, full * 0.5}) {
+      const double got = likelihood_.sum(obs, theta, plain, floor);
+      if (full > floor) {
+        EXPECT_EQ(bits(got), bits(full)) << "floor=" << floor;
+      } else {
+        EXPECT_LE(got, floor);
+        EXPECT_GE(got, full);
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

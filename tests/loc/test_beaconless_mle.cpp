@@ -161,23 +161,53 @@ TEST_F(MleTest, LocalizerInterfaceMatchesDirectEstimate) {
 }
 
 TEST_F(MleTest, MatchesScalarReferenceSearch) {
-  // Benign, greedy-tainted (both attack classes), all-zero and one-hot
-  // observations: the tabulated likelihood must steer the search to the
-  // very same estimate, with bit-identical likelihoods along the way.
+  // Benign, greedy-tainted (both attack classes), all-zero, one-hot and
+  // seeded random observations, and nodes at the field edge (where the
+  // clamp folds stencil points onto each other): the shared search, with
+  // its revisit skip and early exit, must reach the very same estimate as
+  // the full-sum loop, with bit-identical likelihoods along the way.
   const int m = cfg_.nodes_per_group;
+  const std::size_t groups = static_cast<std::size_t>(model_.num_groups());
   std::vector<Observation> cases;
-  cases.emplace_back(static_cast<std::size_t>(model_.num_groups()));
+  cases.emplace_back(groups);
   for (int g : {0, 9, 45, 99}) {
     for (int count : {1, m}) {
-      Observation one_hot(static_cast<std::size_t>(model_.num_groups()));
+      Observation one_hot(groups);
       one_hot.counts[static_cast<std::size_t>(g)] = count;
       cases.push_back(one_hot);
     }
   }
   Rng rng(4242);
+  std::vector<std::size_t> nodes;
   for (int t = 0; t < 12; ++t) {
-    const std::size_t node = static_cast<std::size_t>(
-        rng.uniform_int(static_cast<std::uint64_t>(net_.num_nodes())));
+    nodes.push_back(static_cast<std::size_t>(
+        rng.uniform_int(static_cast<std::uint64_t>(net_.num_nodes()))));
+  }
+  // The nodes nearest each corner and each edge midpoint of the field.
+  const Aabb field = cfg_.field();
+  const Vec2 mid = (field.lo + field.hi) * 0.5;
+  for (const Vec2 target :
+       {field.lo, field.hi, Vec2{field.lo.x, field.hi.y},
+        Vec2{field.hi.x, field.lo.y}, Vec2{field.lo.x, mid.y},
+        Vec2{field.hi.x, mid.y}, Vec2{mid.x, field.lo.y},
+        Vec2{mid.x, field.hi.y}}) {
+    std::size_t nearest = 0;
+    for (std::size_t i = 1; i < net_.num_nodes(); ++i) {
+      if (distance2(net_.position(i), target) <
+          distance2(net_.position(nearest), target)) {
+        nearest = i;
+      }
+    }
+    nodes.push_back(nearest);
+  }
+  for (int t = 0; t < 8; ++t) {
+    Observation random(groups);
+    for (int& c : random.counts) {
+      if (rng.uniform01() < 0.15) c = static_cast<int>(rng.uniform_int(0LL, m));
+    }
+    cases.push_back(random);
+  }
+  for (const std::size_t node : nodes) {
     const Observation a = net_.observe(node);
     cases.push_back(a);
     const Vec2 le =

@@ -238,6 +238,79 @@ TEST(ScenarioSpec, QuickDensitiesAndGzOmegaAreCheckedAtParseTime) {
             "accepted");
 }
 
+// A repeated [sweep] value would run the same work item twice.
+TEST(ScenarioSpec, RepeatedSweepValuesAreRejectedAtParseTime) {
+  const auto message = [](const std::string& kind, const std::string& body) {
+    try {
+      ScenarioSpec::from_config(KvConfig::parse_string(
+          "[scenario]\nname = x\nexperiment = " + kind + "\n" + body));
+    } catch (const AssertionError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_NE(message("roc", "[sweep]\ndamages = 80, 80\n")
+                .find("[sweep] damages repeats 80"),
+            std::string::npos);
+  EXPECT_NE(message("roc", "[sweep]\ncompromised = 0.1, 0.2, 0.10\n")
+                .find("[sweep] compromised repeats 0.10"),
+            std::string::npos);
+  // A range that overlaps a listed value, and two names for one value.
+  EXPECT_NE(message("roc", "[sweep]\ndamages = 40:120:40, 80\n")
+                .find("[sweep] damages repeats 80"),
+            std::string::npos);
+  EXPECT_NE(message("dr-sweep", "[sweep]\nshapes = hex, grid, hexagonal\n")
+                .find("[sweep] shapes repeats hex"),
+            std::string::npos);
+  EXPECT_NE(message("roc", "[sweep]\nmetrics = diff, DIFF\n")
+                .find("[sweep] metrics repeats diff"),
+            std::string::npos);
+  EXPECT_NE(message("density-sweep", "[sweep]\ndensities = 100, 300, 100\n")
+                .find("[sweep] densities repeats 100"),
+            std::string::npos);
+  EXPECT_NE(message("density-sweep",
+                    "[quick]\ndensities = 50, 50\n[sweep]\ndensities = 100\n")
+                .find("[quick] densities repeats 50"),
+            std::string::npos);
+  EXPECT_EQ(message("roc", "[sweep]\ndamages = 80, 120\nmetrics = diff, prob\n"),
+            "accepted");
+}
+
+// [quick] densities and [sweep] mismatch_coupling are read only by the
+// kinds that sweep densities and the mismatch axes; elsewhere they are
+// dead configuration.
+TEST(ScenarioSpec, UnusedQuickDensitiesAndMismatchCouplingAreRejected) {
+  const auto message = [](const std::string& kind, const std::string& body) {
+    try {
+      ScenarioSpec::from_config(KvConfig::parse_string(
+          "[scenario]\nname = x\nexperiment = " + kind + "\n" + body));
+    } catch (const AssertionError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  for (const std::string kind : {"roc", "dr-sweep", "correction"}) {
+    SCOPED_TRACE(kind);
+    EXPECT_NE(message(kind, "[quick]\ndensities = 50\n")
+                  .find("[quick] densities is only consumed by density-sweep"),
+              std::string::npos);
+  }
+  for (const std::string kind : {"roc", "density-sweep", "correction"}) {
+    SCOPED_TRACE(kind);
+    const std::string sweep =
+        kind == "density-sweep" ? "densities = 100\n" : "";
+    EXPECT_NE(message(kind, "[sweep]\n" + sweep + "mismatch_coupling = product\n")
+                  .find("[sweep] mismatch_coupling is only consumed by "
+                        "dr-sweep"),
+              std::string::npos);
+  }
+  EXPECT_EQ(message("density-sweep",
+                    "[quick]\ndensities = 50\n[sweep]\ndensities = 100\n"),
+            "accepted");
+  EXPECT_EQ(message("dr-sweep", "[sweep]\nmismatch_coupling = product\n"),
+            "accepted");
+}
+
 TEST(ScenarioSpec, UnsweptMultiValuedAxesAreRejected) {
   const auto parse = [](const std::string& kind, const std::string& body) {
     return ScenarioSpec::from_config(KvConfig::parse_string(

@@ -72,10 +72,22 @@ TEST(InterpTable, ThreadedSamplingMatchesTheSerialBuild) {
   }
 }
 
+TEST(InterpTable, ThreadedErrorProbesMatchTheSerialOnes) {
+  auto f = [](double x) { return std::exp(-x) * std::sin(3.0 * x); };
+  const InterpTable t(f, -1.0, 2.5, 13);
+  const double serial = t.max_abs_error(f, 777);
+  for (int threads : {2, 4}) {
+    EXPECT_EQ(t.max_abs_error(f, 777, threads), serial)
+        << "threads " << threads;
+  }
+}
+
 TEST(InterpTable, RejectsANonPositiveThreadCount) {
   auto f = [](double x) { return x; };
   EXPECT_THROW(InterpTable(f, 0.0, 1.0, 4, 0), AssertionError);
   EXPECT_THROW(InterpTable(f, 0.0, 1.0, 4, -2), AssertionError);
+  const InterpTable t(f, 0.0, 1.0, 4);
+  EXPECT_THROW(t.max_abs_error(f, 10, 0), AssertionError);
 }
 
 }  // namespace

@@ -58,16 +58,8 @@ class GroupLikelihood {
   /// The model and gz table must outlive this object.
   GroupLikelihood(const DeploymentModel& model, const GzTable& gz);
 
-  /// log_binomial_pmf(k, m, max(gz.at(theta, dp_group), kPFloor)).
-  /// `group` must index a deployment point (unchecked).
-  double term(int k, Vec2 theta, int group) const {
-    const std::vector<Vec2>& points = model_->deployment_points();
-    return term_at_d2(
-        k, distance2(theta, points[static_cast<std::size_t>(group)]));
-  }
-
-  /// The same term for a group whose deployment point lies at squared
-  /// distance d2 from theta.
+  /// log_binomial_pmf(k, m, max(gz.at(theta, dp_group), kPFloor)) for a
+  /// group whose deployment point lies at squared distance d2 from theta.
   double term_at_d2(int k, double d2) const {
     if (k < 0 || k > m_) return -std::numeric_limits<double>::infinity();
     if (d2 >= far_d2_) return far_[static_cast<std::size_t>(k)];

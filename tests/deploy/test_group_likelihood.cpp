@@ -74,7 +74,8 @@ class GroupLikelihoodOracle : public ::testing::TestWithParam<Case> {
   }
 
   void expect_bit_equal(int k, Vec2 theta, int group) const {
-    const double got = likelihood_.term(k, theta, group);
+    const double got = likelihood_.term_at_d2(
+        k, distance2(theta, model_.deployment_point(group)));
     const double want = reference_term(model_, gz_, k, theta, group);
     EXPECT_EQ(bits(got), bits(want))
         << "k=" << k << " group=" << group << " theta=(" << theta.x << ", "
@@ -213,9 +214,8 @@ TEST(GroupLikelihood, PEqualsOneBranchIsReached) {
   const GzTable gz({cfg.radio_range, cfg.sigma});
   ASSERT_EQ(gz(0.0), 1.0);
   const GroupLikelihood likelihood(model, gz);
-  const Vec2 dp = model.deployment_point(0);
-  EXPECT_EQ(likelihood.term(40, dp, 0), 0.0);
-  EXPECT_EQ(likelihood.term(39, dp, 0),
+  EXPECT_EQ(likelihood.term_at_d2(40, 0.0), 0.0);
+  EXPECT_EQ(likelihood.term_at_d2(39, 0.0),
             -std::numeric_limits<double>::infinity());
 }
 

@@ -345,8 +345,8 @@ BENCHMARK(BM_NetworkDeployment)->Unit(benchmark::kMillisecond);
 /// The attack samples of one pipeline at one D, in the attack-grid shape
 /// of bench/ladbench: paper deployment, 4 networks x 25 victims, 3 metrics
 /// x 2 classes x 5 values of x = 30 cells at D = 120.  Args: mode (0 = one
-/// attack_scores pass per cell, 1 = one attack_batch over all cells) and
-/// threads.  `per_victim_cell` is the time per (victim, cell).
+/// single-cell attack_batch per cell, 1 = one attack_batch over all cells)
+/// and threads.  `per_victim_cell` is the time per (victim, cell).
 void BM_AttackPass(benchmark::State& state) {
   PipelineConfig cfg;
   cfg.networks = 4;
@@ -366,8 +366,7 @@ void BM_AttackPass(benchmark::State& state) {
   for (auto _ : state) {
     if (state.range(0) == 0) {
       for (const AttackCell& cell : cells) {
-        benchmark::DoNotOptimize(pipeline.attack_scores(
-            {cell.metric, cell.attack_class, kDamage, cell.compromised_frac}));
+        benchmark::DoNotOptimize(pipeline.attack_batch(kDamage, {cell}));
       }
     } else {
       benchmark::DoNotOptimize(pipeline.attack_batch(kDamage, cells));

@@ -81,6 +81,16 @@ void for_each_victim_span(
       threads);
 }
 
+/// True when every per-network localizer supports order-independent
+/// concurrent localize() — the gate for the flat per-victim fan-out.
+bool concurrent_localize_all(
+    const std::vector<std::unique_ptr<Localizer>>& localizers) {
+  for (const auto& l : localizers) {
+    if (!l->concurrent_localize()) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 LocalizerFactory beaconless_mle_factory(const DeploymentModel& model,
@@ -131,16 +141,27 @@ Pipeline::Pipeline(const PipelineConfig& config)
       config_.threads);
 }
 
-std::vector<std::unique_ptr<Localizer>> Pipeline::benign_localizers(
-    const LocalizerFactory& factory, std::vector<std::size_t>& victims) {
+BenignPass Pipeline::benign_scores(const LocalizerFactory& factory,
+                                  const std::vector<MetricKind>& metrics) {
   const std::size_t nnet = networks_.size();
   const std::size_t k = static_cast<std::size_t>(config_.victims_per_network);
+  const int m = config_.deploy.nodes_per_group;
+
+  std::vector<std::unique_ptr<Metric>> metric_impls;
+  for (MetricKind kind : metrics) metric_impls.push_back(make_metric(kind));
+
+  // scores[metric][network * k + victim]; distances |Le - La| per slot.
+  std::vector<std::vector<double>> scores(
+      metrics.size(), std::vector<double>(nnet * k, 0.0));
+  std::vector<double> distances(nnet * k, 0.0);
+  BenignPass pass;
+  pass.victim_groups.assign(nnet * k, 0);
 
   // Sequential rng phase: replay every network's historical stream order
   // — localizer seed first, then the k victim draws — so the fan-out
   // below cannot perturb any stream regardless of schedule.
   std::vector<std::uint64_t> loc_seeds(nnet);
-  victims.resize(nnet * k);
+  std::vector<std::size_t> victims(nnet * k);
   for (std::size_t ni = 0; ni < nnet; ++ni) {
     Rng rng = Rng::stream(config_.seed ^ kStreamBenign, ni);
     loc_seeds[ni] = rng.bits();
@@ -158,27 +179,6 @@ std::vector<std::unique_ptr<Localizer>> Pipeline::benign_localizers(
   parallel_for_items(
       nnet, [&](std::size_t ni) { localizers[ni]->prepare(*networks_[ni]); },
       config_.threads);
-  return localizers;
-}
-
-std::map<MetricKind, std::vector<double>> Pipeline::benign_scores(
-    const LocalizerFactory& factory, const std::vector<MetricKind>& metrics,
-    std::vector<int>* victim_groups) {
-  const std::size_t nnet = networks_.size();
-  const std::size_t k = static_cast<std::size_t>(config_.victims_per_network);
-  const int m = config_.deploy.nodes_per_group;
-
-  std::vector<std::unique_ptr<Metric>> metric_impls;
-  for (MetricKind kind : metrics) metric_impls.push_back(make_metric(kind));
-
-  // scores[metric][network * k + victim]
-  std::vector<std::vector<double>> scores(
-      metrics.size(), std::vector<double>(nnet * k, 0.0));
-  if (victim_groups != nullptr) victim_groups->assign(nnet * k, 0);
-
-  std::vector<std::size_t> victims;
-  std::vector<std::unique_ptr<Localizer>> localizers =
-      benign_localizers(factory, victims);
 
   auto score_span = [&](std::size_t ni, std::size_t v_lo, std::size_t v_hi) {
     const Network& net = *networks_[ni];
@@ -188,16 +188,16 @@ std::map<MetricKind, std::vector<double>> Pipeline::benign_scores(
                          victims.data() + ni * k + v_lo, v_hi - v_lo),
                      batch);
     for (std::size_t v = v_lo; v < v_hi; ++v) {
+      const std::size_t slot = ni * k + v;
+      const Vec2 la = net.position(victims[slot]);
       const Observation obs = batch.to_observation(v - v_lo);
-      const Vec2 le = localizer.localize(net, victims[ni * k + v]);
+      const Vec2 le = localizer.localize(net, victims[slot]);
       const ExpectedObservation mu = model_.expected_observation(le, gz_);
       for (std::size_t mi = 0; mi < metric_impls.size(); ++mi) {
-        scores[mi][ni * k + v] = metric_impls[mi]->score(obs, mu, m);
+        scores[mi][slot] = metric_impls[mi]->score(obs, mu, m);
       }
-      if (victim_groups != nullptr) {
-        (*victim_groups)[ni * k + v] =
-            model_.nearest_group(net.position(victims[ni * k + v]));
-      }
+      distances[slot] = distance(le, la);
+      pass.victim_groups[slot] = model_.nearest_group(la);
     }
   };
 
@@ -211,19 +211,20 @@ std::map<MetricKind, std::vector<double>> Pipeline::benign_scores(
         nnet, [&](std::size_t ni) { score_span(ni, 0, k); }, config_.threads);
   }
 
-  std::map<MetricKind, std::vector<double>> out;
   for (std::size_t mi = 0; mi < metrics.size(); ++mi) {
-    out[metrics[mi]] = std::move(scores[mi]);
+    pass.scores[metrics[mi]] = std::move(scores[mi]);
   }
-  return out;
-}
-
-bool Pipeline::concurrent_localize_all(
-    const std::vector<std::unique_ptr<Localizer>>& localizers) {
-  for (const auto& l : localizers) {
-    if (!l->concurrent_localize()) return false;
+  // Reduce in a fixed order (victims within a network, then networks) so
+  // the float-addition order, and hence the mean, never depends on the
+  // schedule.
+  double sum = 0.0;
+  for (std::size_t ni = 0; ni < nnet; ++ni) {
+    double total = 0.0;
+    for (std::size_t v = 0; v < k; ++v) total += distances[ni * k + v];
+    sum += total / static_cast<double>(k);
   }
-  return true;
+  pass.mean_localization_error = sum / static_cast<double>(nnet);
+  return pass;
 }
 
 void Pipeline::draw_attack_victims(double damage,
@@ -251,20 +252,8 @@ void Pipeline::draw_attack_victims(double damage,
   }
 }
 
-std::vector<double> Pipeline::attack_scores(const AttackSpec& spec,
-                                            std::vector<int>* victim_groups) {
-  return std::move(
-      attack_batch(spec.damage,
-                   {{spec.metric, spec.attack_class, spec.compromised_frac,
-                     {spec.metric}}},
-                   victim_groups)
-          .front()
-          .front());
-}
-
-std::vector<std::vector<std::vector<double>>> Pipeline::attack_batch(
-    double damage, const std::vector<AttackCell>& cells,
-    std::vector<int>* victim_groups) {
+AttackPass Pipeline::attack_batch(double damage,
+                                  const std::vector<AttackCell>& cells) {
   LAD_REQUIRE_MSG(damage >= 0, "damage must be non-negative");
   for (const AttackCell& cell : cells) {
     LAD_REQUIRE_MSG(cell.compromised_frac >= 0 && cell.compromised_frac <= 1,
@@ -278,17 +267,18 @@ std::vector<std::vector<std::vector<double>>> Pipeline::attack_batch(
   // scorer_impls[cell][scorer], scores[cell][scorer][network * k + victim];
   // a Prob scorer reads the victim's ProbTable instead of its impl.
   std::vector<std::vector<std::unique_ptr<Metric>>> scorer_impls(cells.size());
-  std::vector<std::vector<std::vector<double>>> scores(cells.size());
+  AttackPass pass;
+  pass.scores.resize(cells.size());
   bool needs_prob = false;
   for (std::size_t ci = 0; ci < cells.size(); ++ci) {
     needs_prob = needs_prob || cells[ci].metric == MetricKind::kProb;
     for (MetricKind kind : cells[ci].scorers) {
       needs_prob = needs_prob || kind == MetricKind::kProb;
       scorer_impls[ci].push_back(make_metric(kind));
-      scores[ci].emplace_back(nnet * k, 0.0);
+      pass.scores[ci].emplace_back(nnet * k, 0.0);
     }
   }
-  if (victim_groups != nullptr) victim_groups->assign(nnet * k, 0);
+  pass.victim_groups.assign(nnet * k, 0);
 
   // One budget ladder per (metric, class): its cells in ascending x, so
   // their budgets round(x |a|) ascend too and one greedy walk per victim
@@ -350,7 +340,7 @@ std::vector<std::vector<std::vector<double>>> Pipeline::attack_batch(
                   const std::size_t ci = ladder[rung];
                   for (std::size_t si = 0; si < scorer_impls[ci].size();
                        ++si) {
-                    scores[ci][si][slot] =
+                    pass.scores[ci][si][slot] =
                         cells[ci].scorers[si] == MetricKind::kProb
                             ? prob->score(tainted)
                             : scorer_impls[ci][si]->score(tainted, mu, m);
@@ -358,13 +348,11 @@ std::vector<std::vector<std::vector<double>>> Pipeline::attack_batch(
                 },
                 prob ? &*prob : nullptr);
           }
-          if (victim_groups != nullptr) {
-            (*victim_groups)[slot] =
-                model_.nearest_group(net.position(victims[slot]));
-          }
+          pass.victim_groups[slot] =
+              model_.nearest_group(net.position(victims[slot]));
         }
       });
-  return scores;
+  return pass;
 }
 
 DetectorBundle Pipeline::train_bundle(const LocalizerFactory& factory,
@@ -378,9 +366,7 @@ DetectorBundle Pipeline::train_bundle(const LocalizerFactory& factory,
   taus.push_back(active_tau);
   std::sort(taus.begin(), taus.end());
   taus.erase(std::unique(taus.begin(), taus.end()), taus.end());
-  std::vector<int> victim_groups;
-  auto benign = benign_scores(factory, metrics,
-                              grouped.per_group ? &victim_groups : nullptr);
+  BenignPass benign = benign_scores(factory, metrics);
   GroupTrainingOptions options;
   if (grouped.per_group) {
     options.groups = boundary_groups(model_);
@@ -389,7 +375,7 @@ DetectorBundle Pipeline::train_bundle(const LocalizerFactory& factory,
   std::vector<DetectorSpec> specs;
   specs.reserve(metrics.size());
   for (MetricKind metric : metrics) {
-    std::vector<double>& scores = benign.at(metric);
+    std::vector<double>& scores = benign.scores.at(metric);
     DetectorSpec spec;
     if (grouped.per_group) {
       // The pooled table first (it defines the global fallback threshold),
@@ -399,7 +385,7 @@ DetectorBundle Pipeline::train_bundle(const LocalizerFactory& factory,
                                          active_tau);
       std::size_t trained = 0;
       for (const GroupTrainingResult& r : train_group_thresholds(
-               metric, scores, victim_groups, options, active_tau,
+               metric, scores, benign.victim_groups, options, active_tau,
                spec.threshold)) {
         spec.group_overrides.push_back(
             {r.group, r.training.threshold,
@@ -422,46 +408,6 @@ DetectorBundle Pipeline::train_bundle(const LocalizerFactory& factory,
     specs.push_back(std::move(spec));
   }
   return make_bundle(model_, config_.gz_omega, std::move(specs));
-}
-
-double Pipeline::mean_localization_error(const LocalizerFactory& factory) {
-  const std::size_t nnet = networks_.size();
-  const std::size_t k = static_cast<std::size_t>(config_.victims_per_network);
-
-  // Same sub-stream as the benign pass, so the measured victims match the
-  // scored ones.
-  std::vector<std::size_t> victims;
-  std::vector<std::unique_ptr<Localizer>> localizers =
-      benign_localizers(factory, victims);
-
-  std::vector<double> dists(nnet * k, 0.0);
-  auto measure_span = [&](std::size_t ni, std::size_t v_lo, std::size_t v_hi) {
-    const Network& net = *networks_[ni];
-    Localizer& localizer = *localizers[ni];
-    for (std::size_t v = v_lo; v < v_hi; ++v) {
-      const std::size_t node = victims[ni * k + v];
-      dists[ni * k + v] = distance(localizer.localize(net, node),
-                                   net.position(node));
-    }
-  };
-  if (concurrent_localize_all(localizers)) {
-    for_each_victim_span(nnet, k, config_.threads, measure_span);
-  } else {
-    parallel_for_items(
-        nnet, [&](std::size_t ni) { measure_span(ni, 0, k); },
-        config_.threads);
-  }
-
-  // Reduce in the historical order (victims within a network, then
-  // networks) so the float-addition order — and hence the reported mean —
-  // is bit-identical to the sequential pass.
-  double sum = 0.0;
-  for (std::size_t ni = 0; ni < nnet; ++ni) {
-    double total = 0.0;
-    for (std::size_t v = 0; v < k; ++v) total += dists[ni * k + v];
-    sum += total / static_cast<double>(k);
-  }
-  return sum / static_cast<double>(nnet);
 }
 
 }  // namespace lad

@@ -80,13 +80,6 @@ using LocalizerFactory =
 LocalizerFactory beaconless_mle_factory(const DeploymentModel& model,
                                         const GzTable& gz);
 
-struct AttackSpec {
-  MetricKind metric = MetricKind::kDiff;
-  AttackClass attack_class = AttackClass::kDecBounded;
-  double damage = 120.0;          ///< D: |Le - La|
-  double compromised_frac = 0.1;  ///< x as a fraction of the neighborhood
-};
-
 /// One cell of an attack batch: the taint minimizes `metric` for
 /// `attack_class` at compromise fraction `compromised_frac`, and each
 /// tainted observation is scored by every metric in `scorers`.
@@ -97,6 +90,30 @@ struct AttackCell {
   std::vector<MetricKind> scorers;
 
   bool operator==(const AttackCell&) const = default;
+};
+
+/// The benign pass: every victim localized once, its untainted
+/// observation scored against mu(Le).  Samples are network-major
+/// (network * k + victim) in every vector.
+struct BenignPass {
+  std::map<MetricKind, std::vector<double>> scores;  ///< per metric
+  /// Each sample's victim group: the knowledge model's nearest deployment
+  /// group to the victim's true position.
+  std::vector<int> victim_groups;
+  /// Mean |Le - La| of the same estimates (Fig. 9's localization error),
+  /// averaged over victims within a network, then over networks.
+  double mean_localization_error = 0.0;
+
+  bool operator==(const BenignPass&) const = default;
+};
+
+/// The attack pass at one D: scores[cell][scorer][sample] and each
+/// sample's victim group, as in BenignPass.
+struct AttackPass {
+  std::vector<std::vector<std::vector<double>>> scores;
+  std::vector<int> victim_groups;
+
+  bool operator==(const AttackPass&) const = default;
 };
 
 /// Per-group threshold training knobs for train_bundle.
@@ -123,34 +140,16 @@ class Pipeline {
     return networks_;
   }
 
-  /// Benign score samples for each requested metric (one pass: the
-  /// localization estimate is shared across metrics, as in training).
-  /// `victim_groups` (optional) receives each sample's victim group - the
-  /// knowledge model's nearest deployment group to the victim's true
-  /// position - index-aligned with every metric's score vector.  Filling
-  /// it never perturbs the rng stream, so scores are identical either way.
-  std::map<MetricKind, std::vector<double>> benign_scores(
-      const LocalizerFactory& factory, const std::vector<MetricKind>& metrics,
-      std::vector<int>* victim_groups = nullptr);
+  /// The benign pass for each requested metric (the localization
+  /// estimate is shared across metrics, as in training).
+  BenignPass benign_scores(const LocalizerFactory& factory,
+                           const std::vector<MetricKind>& metrics);
 
   /// The attack pass at damage D for a list of cells: one victim draw, one
   /// fan-out, and per victim one observation and one mu, shared by every
-  /// cell.  Returns scores[cell][scorer][sample], index-aligned with
-  /// `cells` and each cell's `scorers`.  As in benign_scores,
-  /// `victim_groups` optionally receives the per-sample victim groups
-  /// without perturbing the stream.
-  std::vector<std::vector<std::vector<double>>> attack_batch(
-      double damage, const std::vector<AttackCell>& cells,
-      std::vector<int>* victim_groups = nullptr);
-
-  /// Attacked score samples for one attack specification (a one-cell
-  /// attack_batch scored by the attacked metric).
-  std::vector<double> attack_scores(const AttackSpec& spec,
-                                    std::vector<int>* victim_groups = nullptr);
-
-  /// Mean localization error of a scheme over the benign pass (diagnostic;
-  /// drives the Fig. 9 density discussion).
-  double mean_localization_error(const LocalizerFactory& factory);
+  /// cell.  The scores are index-aligned with `cells` and each cell's
+  /// `scorers`.
+  AttackPass attack_batch(double damage, const std::vector<AttackCell>& cells);
 
   /// Trains one detector section per metric on a single shared benign pass
   /// (the localization estimate is shared across metrics, as in training)
@@ -171,24 +170,10 @@ class Pipeline {
                               const GroupTrainingSpec& grouped = {});
 
  private:
-  /// The shared sequential rng phase of the benign-side passes: replays
-  /// every network's historical stream order (localizer seed, then the k
-  /// victim draws, filling `victims[ni*k + v]`), builds one localizer per
-  /// network, and runs prepare() in parallel.  After this returns, no pass
-  /// rng remains to be consumed — the per-victim fan-out is free to run
-  /// in any schedule.
-  std::vector<std::unique_ptr<Localizer>> benign_localizers(
-      const LocalizerFactory& factory, std::vector<std::size_t>& victims);
-
   /// The attack batch's sequential rng phase: victim and planted-Le draws
   /// in the historical per-network order.
   void draw_attack_victims(double damage, std::vector<std::size_t>& victims,
                            std::vector<Vec2>& les);
-
-  /// True when every per-network localizer supports order-independent
-  /// concurrent localize() — the gate for the flat per-victim fan-out.
-  static bool concurrent_localize_all(
-      const std::vector<std::unique_ptr<Localizer>>& localizers);
 
   PipelineConfig config_;
   DeploymentModel model_;         ///< knowledge model

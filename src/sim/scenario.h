@@ -41,7 +41,7 @@ enum class ExperimentKind {
   kDensitySweep,          ///< re-deploy per density m (Fig. 9)
   kDeploymentPdf,         ///< the deployment pdf surface (Fig. 2)
   kGzAccuracy,            ///< g(z) table resolution ablation
-  kCorrection,            ///< trimmed-ML location correction table
+  kCorrection,            ///< capped-ML location correction table
   kEchoComparison,        ///< LAD vs the Echo protocol
   kMetricFusion,          ///< attacker-vs-detector fusion matrix
   kMmseVulnerability,     ///< MMSE / DV-Hop single-anchor lies

@@ -281,13 +281,6 @@ struct TrainedDeployment : Deployed {
 struct ScenarioRunState {
   ScenarioSpec spec;
 
-  /// One shared benign pass: per-metric scores plus each sample's victim
-  /// group (the per-group threshold modes bucket by it).
-  struct BenignPass {
-    std::map<MetricKind, std::vector<double>> scores;
-    std::vector<int> victim_groups;
-  };
-
   // --- shared deterministic state (lazy; values never depend on which
   //     items run, only the spec).  Latched caches: concurrent work items
   //     (jobs > 1) wanting the same key build it exactly once, and the
@@ -295,17 +288,15 @@ struct ScenarioRunState {
   LatchedCache<Pipeline> pipelines;
   // (pipeline key | localizer) -> the shared benign pass
   LatchedCache<BenignPass> benign;
-  LatchedCache<double> loc_errors;
   // dr-sweep per_group mode: per-(pipeline|localizer|metric) boundary-group
   // fits - invariant across the attack/x/damage axes, so trained once.
   LatchedCache<std::vector<GroupTrainingResult>> group_fits;
 
-  /// One (pipeline, D) attack batch: the score vectors of every planned
-  /// cell (never the observations or mu), plus each sample's victim group.
+  /// One (pipeline, D) attack batch: every planned cell and their pass
+  /// (score vectors and victim groups, never the observations or mu).
   struct AttackBatch {
     std::vector<AttackCell> cells;
-    std::vector<std::vector<std::vector<double>>> scores;  ///< [cell][scorer]
-    std::vector<int> victim_groups;
+    AttackPass pass;
   };
   /// One run's attack cells, per (pipeline, D) key: planned from the
   /// shard walk before any item runs, read-only while items run.
@@ -372,7 +363,7 @@ struct ScenarioRunState {
   }
   Pipeline& base_pipeline() { return pipeline_for(base_config()); }
 
-  /// Benign scores for every spec metric under one (pipeline, localizer);
+  /// The benign pass for every spec metric under one (pipeline, localizer);
   /// per-metric values are independent of which metrics share the pass.
   const BenignPass& benign_for(Pipeline& pipeline,
                                const std::string& localizer) {
@@ -381,21 +372,8 @@ struct ScenarioRunState {
     return benign.get(key, [&] {
       const LocalizerFactory factory =
           localizer_factory_from_name(localizer, pipeline);
-      auto pass = std::make_unique<BenignPass>();
-      pass->scores =
-          pipeline.benign_scores(factory, spec.metrics, &pass->victim_groups);
-      return pass;
-    });
-  }
-
-  double loc_error_for(Pipeline& pipeline, const std::string& localizer) {
-    const std::string key =
-        config_key(pipeline.config()) + "|" + localizer;
-    return loc_errors.get(key, [&] {
-      const LocalizerFactory factory =
-          localizer_factory_from_name(localizer, pipeline);
-      return std::make_unique<double>(
-          pipeline.mean_localization_error(factory));
+      return std::make_unique<BenignPass>(
+          pipeline.benign_scores(factory, spec.metrics));
     });
   }
 
@@ -446,8 +424,7 @@ struct ScenarioRunState {
                       "no attack cells planned at " << key);
       auto batch = std::make_unique<AttackBatch>();
       batch->cells = planned->second;
-      batch->scores =
-          pipeline.attack_batch(d, batch->cells, &batch->victim_groups);
+      batch->pass = pipeline.attack_batch(d, batch->cells);
       return batch;
     });
   }
@@ -460,7 +437,8 @@ struct ScenarioRunState {
     const auto it = std::find(batch.cells.begin(), batch.cells.end(), cell);
     LAD_REQUIRE_MSG(it != batch.cells.end(),
                     "attack cell not planned at D=" << d);
-    return batch.scores[static_cast<std::size_t>(it - batch.cells.begin())];
+    return batch.pass
+        .scores[static_cast<std::size_t>(it - batch.cells.begin())];
   }
 
   /// A grid cell's one attack cell: the taint minimizes the cell's metric,
@@ -1114,7 +1092,7 @@ ScenarioResult ScenarioRunState::run_dr(const ShardRange& shard) {
     const std::vector<double>& scores =
         attack_for(pipeline, c.d, attack_cell(c)).front();
     const std::vector<int>& attack_groups =
-        attack_batch_for(pipeline, c.d).victim_groups;
+        attack_batch_for(pipeline, c.d).pass.victim_groups;
 
     // Per-group threshold vector: the pooled fit everywhere, boundary
     // groups re-fitted on their own benign buckets in per_group mode
@@ -1163,7 +1141,7 @@ ScenarioResult ScenarioRunState::run_dr(const ShardRange& shard) {
           .add(fp(interior), 4)
           .add(fp(boundary), 4);
     }
-    if (spec.loc_error) row.add(loc_error_for(pipeline, c.localizer), 2);
+    if (spec.loc_error) row.add(benign_pass.mean_localization_error, 2);
   });
 }
 
@@ -1176,15 +1154,15 @@ ScenarioResult ScenarioRunState::run_density(const ShardRange& shard) {
   return run_grid(
       shard, {{"DR", "mle_loc_error", "threshold"}}, config_of,
       [this](const GridCell& c, Pipeline& pipeline, const NewRow& new_row) {
-        const std::string& localizer = spec.localizers.front();
+        const BenignPass& benign_pass =
+            benign_for(pipeline, spec.localizers.front());
         const ThresholdFit fit = fit_threshold(
-            c.metric, benign_for(pipeline, localizer).scores.at(c.metric),
-            spec.fp_budget);
+            c.metric, benign_pass.scores.at(c.metric), spec.fp_budget);
         const std::vector<double>& scores =
             attack_for(pipeline, c.d, attack_cell(c)).front();
         new_row(0)
             .add(fraction_above(scores, fit.threshold()), 4)
-            .add(loc_error_for(pipeline, localizer), 2)
+            .add(benign_pass.mean_localization_error, 2)
             .add(fit.threshold(), 2);
       });
 }

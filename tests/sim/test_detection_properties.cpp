@@ -37,9 +37,12 @@ class DetectionPropertyTest
     return p;
   }
   static const std::map<MetricKind, std::vector<double>>& benign() {
-    static const auto scores = pipeline().benign_scores(
-        beaconless_mle_factory(pipeline().model(), pipeline().gz()),
-        {MetricKind::kDiff, MetricKind::kAddAll, MetricKind::kProb});
+    static const auto scores =
+        pipeline()
+            .benign_scores(
+                beaconless_mle_factory(pipeline().model(), pipeline().gz()),
+                {MetricKind::kDiff, MetricKind::kAddAll, MetricKind::kProb})
+            .scores;
     return scores;
   }
   MetricKind metric() const {
@@ -47,6 +50,14 @@ class DetectionPropertyTest
   }
   AttackClass cls() const {
     return static_cast<AttackClass>(std::get<1>(GetParam()));
+  }
+  /// The attacked scores of this (metric, class) at damage `d` and
+  /// compromise fraction `x`, scored by the attacked metric.
+  static std::vector<double> attack_scores(MetricKind metric, AttackClass cls,
+                                           double d, double x) {
+    return pipeline()
+        .attack_batch(d, {{metric, cls, x, {metric}}})
+        .scores[0][0];
   }
 };
 
@@ -59,13 +70,8 @@ TEST_P(DetectionPropertyTest, TrainedThresholdHoldsItsFalsePositiveRate) {
 TEST_P(DetectionPropertyTest, HighDamageAttacksAreCaught) {
   const auto& scores = benign().at(metric());
   const double threshold = train_threshold(metric(), scores, 0.99).threshold;
-  AttackSpec spec;
-  spec.metric = metric();
-  spec.attack_class = cls();
-  spec.damage = 280.0;
-  spec.compromised_frac = 0.10;
   const double dr =
-      fraction_above(pipeline().attack_scores(spec), threshold);
+      fraction_above(attack_scores(metric(), cls(), 280.0, 0.10), threshold);
   EXPECT_GT(dr, 0.95) << metric_name(metric()) << " / "
                       << attack_class_name(cls());
 }
@@ -75,13 +81,8 @@ TEST_P(DetectionPropertyTest, DetectionDegradesMonotonicallyWithBudget) {
   const double threshold = train_threshold(metric(), scores, 0.99).threshold;
   double prev = 1.1;
   for (double x : {0.0, 0.2, 0.5}) {
-    AttackSpec spec;
-    spec.metric = metric();
-    spec.attack_class = cls();
-    spec.damage = 120.0;
-    spec.compromised_frac = x;
     const double dr =
-        fraction_above(pipeline().attack_scores(spec), threshold);
+        fraction_above(attack_scores(metric(), cls(), 120.0, x), threshold);
     EXPECT_LE(dr, prev + 0.05) << "x=" << x;
     prev = dr;
   }
@@ -90,14 +91,9 @@ TEST_P(DetectionPropertyTest, DetectionDegradesMonotonicallyWithBudget) {
 TEST_P(DetectionPropertyTest, DecOnlyNeverBeatsDecBoundedEvasion) {
   // Regardless of the metric, the Dec-Bounded attacker achieves scores
   // <= the Dec-Only attacker on the same victims.
-  AttackSpec spec;
-  spec.metric = metric();
-  spec.damage = 100.0;
-  spec.compromised_frac = 0.15;
-  spec.attack_class = AttackClass::kDecBounded;
-  const auto bounded = pipeline().attack_scores(spec);
-  spec.attack_class = AttackClass::kDecOnly;
-  const auto only = pipeline().attack_scores(spec);
+  const auto bounded =
+      attack_scores(metric(), AttackClass::kDecBounded, 100.0, 0.15);
+  const auto only = attack_scores(metric(), AttackClass::kDecOnly, 100.0, 0.15);
   ASSERT_EQ(bounded.size(), only.size());
   for (std::size_t i = 0; i < bounded.size(); ++i) {
     ASSERT_LE(bounded[i], only[i] + 1e-9) << "victim " << i;

@@ -40,7 +40,9 @@ class EndToEndTest : public ::testing::Test {
   /// from a shared benign pass.
   RocCurve roc(const std::vector<double>& benign, MetricKind metric,
                AttackClass cls, double d) {
-    return RocCurve(benign, pipeline_.attack_scores({metric, cls, d, 0.1}));
+    return RocCurve(benign,
+                    pipeline_.attack_batch(d, {{metric, cls, 0.1, {metric}}})
+                        .scores[0][0]);
   }
 
   Pipeline pipeline_;
@@ -49,9 +51,10 @@ class EndToEndTest : public ::testing::Test {
 
 TEST_F(EndToEndTest, TrainedDetectorFlagsLargeAnomaliesAndPassesBenign) {
   // Train the Diff threshold at tau = 0.99.
-  auto benign = pipeline_.benign_scores(factory_, {MetricKind::kDiff});
-  const TrainingResult trained =
-      train_threshold(MetricKind::kDiff, benign.at(MetricKind::kDiff), 0.99);
+  const BenignPass benign =
+      pipeline_.benign_scores(factory_, {MetricKind::kDiff});
+  const TrainingResult trained = train_threshold(
+      MetricKind::kDiff, benign.scores.at(MetricKind::kDiff), 0.99);
 
   Detector detector(pipeline_.model(), pipeline_.gz(), MetricKind::kDiff,
                     trained.threshold);
@@ -94,14 +97,16 @@ TEST_F(EndToEndTest, PaperClaim_DetectionImprovesWithDamage) {
   // Dec-Bounded attack at 10% compromise over growing damage.
   const std::vector<double> benign =
       pipeline_.benign_scores(factory_, {MetricKind::kDiff})
-          .at(MetricKind::kDiff);
+          .scores.at(MetricKind::kDiff);
   const double threshold =
       train_threshold(MetricKind::kDiff, benign, 1.0 - 0.01).threshold;
   std::vector<double> rates;
   for (double d : {40.0, 80.0, 120.0, 160.0, 240.0}) {
     rates.push_back(fraction_above(
-        pipeline_.attack_scores(
-            {MetricKind::kDiff, AttackClass::kDecBounded, d, 0.1}),
+        pipeline_
+            .attack_batch(d, {{MetricKind::kDiff, AttackClass::kDecBounded,
+                               0.1, {MetricKind::kDiff}}})
+            .scores[0][0],
         threshold));
   }
   // Monotone non-decreasing (within Monte-Carlo slack) and saturating.
@@ -118,7 +123,7 @@ TEST_F(EndToEndTest, PaperClaim_DiffMetricCompetitiveOnLargeD) {
   // At least it must separate benign from attacked well at high damage.
   const std::vector<double> benign =
       pipeline_.benign_scores(factory_, {MetricKind::kDiff})
-          .at(MetricKind::kDiff);
+          .scores.at(MetricKind::kDiff);
   const double diff_auc =
       roc(benign, MetricKind::kDiff, AttackClass::kDecBounded, 160.0).auc();
   EXPECT_GT(diff_auc, 0.9);
@@ -127,7 +132,7 @@ TEST_F(EndToEndTest, PaperClaim_DiffMetricCompetitiveOnLargeD) {
 TEST_F(EndToEndTest, PaperClaim_DecBoundedHarderThanDecOnlyAtSmallD) {
   const std::vector<double> benign =
       pipeline_.benign_scores(factory_, {MetricKind::kDiff})
-          .at(MetricKind::kDiff);
+          .scores.at(MetricKind::kDiff);
   const double bounded_auc =
       roc(benign, MetricKind::kDiff, AttackClass::kDecBounded, 40.0).auc();
   const double only_auc =
@@ -139,16 +144,14 @@ TEST_F(EndToEndTest, PaperClaim_DecBoundedHarderThanDecOnlyAtSmallD) {
 TEST_F(EndToEndTest, ThresholdRobustness) {
   // Section 5.5's property: for large D, detection stays high and FP low
   // even when the threshold is off its optimal value.
-  auto benign = pipeline_.benign_scores(factory_, {MetricKind::kDiff});
-  const std::vector<double>& scores = benign.at(MetricKind::kDiff);
+  const BenignPass benign =
+      pipeline_.benign_scores(factory_, {MetricKind::kDiff});
+  const std::vector<double>& scores = benign.scores.at(MetricKind::kDiff);
   const double t99 = quantile(scores, 0.99);
 
-  AttackSpec spec;
-  spec.metric = MetricKind::kDiff;
-  spec.attack_class = AttackClass::kDecBounded;
-  spec.damage = 240.0;
-  spec.compromised_frac = 0.1;
-  const auto attack = pipeline_.attack_scores(spec);
+  const AttackCell cell{MetricKind::kDiff, AttackClass::kDecBounded, 0.1,
+                        {MetricKind::kDiff}};
+  const auto attack = pipeline_.attack_batch(240.0, {cell}).scores[0][0];
 
   for (double fudge : {0.8, 1.0, 1.25}) {
     const double threshold = t99 * fudge;

@@ -3,6 +3,7 @@
 // knowledge model, and the alternative deployment layouts.
 #include <gtest/gtest.h>
 
+#include "attack/adversary.h"
 #include "core/metric.h"
 #include "deploy/deployment_model.h"
 #include "geom/vec2.h"
@@ -66,9 +67,9 @@ TEST(PipelineMismatch, SigmaMismatchInflatesBenignScores) {
   cfg.actual_sigma = 60.0;
   Pipeline mismatched(cfg);
   const auto s_matched =
-      matched.benign_scores(tn_factory(), {MetricKind::kDiff});
+      matched.benign_scores(tn_factory(), {MetricKind::kDiff}).scores;
   const auto s_mismatched =
-      mismatched.benign_scores(tn_factory(), {MetricKind::kDiff});
+      mismatched.benign_scores(tn_factory(), {MetricKind::kDiff}).scores;
   // The knowledge model mispredicts the observation distribution, so the
   // Diff scores of honest sensors grow (the paper's predicted FP error).
   EXPECT_GT(quantile(s_mismatched.at(MetricKind::kDiff), 0.5),
@@ -98,12 +99,12 @@ TEST(PipelineShapes, HexAndRandomPipelinesRun) {
     cfg.shape = shape;
     Pipeline p(cfg);
     EXPECT_GT(p.model().num_groups(), 0);
-    const auto scores = p.benign_scores(tn_factory(), {MetricKind::kDiff});
+    const auto scores =
+        p.benign_scores(tn_factory(), {MetricKind::kDiff}).scores;
     EXPECT_EQ(scores.at(MetricKind::kDiff).size(), 180u);
-    AttackSpec spec;
-    spec.damage = 120.0;
-    spec.compromised_frac = 0.1;
-    const auto attack = p.attack_scores(spec);
+    const AttackCell cell{MetricKind::kDiff, AttackClass::kDecBounded, 0.1,
+                          {MetricKind::kDiff}};
+    const auto attack = p.attack_batch(120.0, {cell}).scores[0][0];
     // Attacks must still separate from benign under non-grid layouts.
     EXPECT_GT(quantile(attack, 0.5),
               quantile(scores.at(MetricKind::kDiff), 0.5));

@@ -18,6 +18,7 @@
 #include "deploy/observe_kernel.h"
 #include "geom/aabb.h"
 #include "geom/vec2.h"
+#include "loc/localizer.h"
 #include "loc/truth_noise.h"
 #include "rng/rng.h"
 #include "stats/quantile.h"
@@ -78,18 +79,20 @@ TEST(Pipeline, BenignScoresDeterministicAcrossThreadCounts) {
   cfg.threads = 4;
   Pipeline parallel(cfg);
   const auto factory = truth_noise_factory(5.0);
-  const auto s1 = serial.benign_scores(factory, {MetricKind::kDiff});
-  const auto s4 = parallel.benign_scores(factory, {MetricKind::kDiff});
-  EXPECT_EQ(s1.at(MetricKind::kDiff), s4.at(MetricKind::kDiff));
+  const BenignPass s1 = serial.benign_scores(factory, {MetricKind::kDiff});
+  const BenignPass s4 = parallel.benign_scores(factory, {MetricKind::kDiff});
+  EXPECT_EQ(s1.scores.at(MetricKind::kDiff), s4.scores.at(MetricKind::kDiff));
+  EXPECT_EQ(s1.victim_groups, s4.victim_groups);
+  EXPECT_EQ(s1.mean_localization_error, s4.mean_localization_error);
 }
 
 TEST(Pipeline, BenignScoresSaneForAllMetrics) {
   Pipeline p(small_pipeline_config());
-  const auto scores = p.benign_scores(
+  const BenignPass pass = p.benign_scores(
       truth_noise_factory(5.0),
       {MetricKind::kDiff, MetricKind::kAddAll, MetricKind::kProb});
-  ASSERT_EQ(scores.size(), 3u);
-  for (const auto& [kind, vec] : scores) {
+  ASSERT_EQ(pass.scores.size(), 3u);
+  for (const auto& [kind, vec] : pass.scores) {
     ASSERT_EQ(vec.size(), 200u) << metric_name(kind);
     for (double s : vec) {
       EXPECT_TRUE(std::isfinite(s)) << metric_name(kind);
@@ -100,39 +103,33 @@ TEST(Pipeline, BenignScoresSaneForAllMetrics) {
 
 TEST(Pipeline, AttackScoresShiftUpWithDamage) {
   Pipeline p(small_pipeline_config());
-  AttackSpec weak;
-  weak.damage = 30.0;
-  weak.compromised_frac = 0.1;
-  AttackSpec strong = weak;
-  strong.damage = 250.0;
-  const auto weak_scores = p.attack_scores(weak);
-  const auto strong_scores = p.attack_scores(strong);
+  const AttackCell cell{MetricKind::kDiff, AttackClass::kDecBounded, 0.1,
+                        {MetricKind::kDiff}};
+  const auto weak_scores = p.attack_batch(30.0, {cell}).scores[0][0];
+  const auto strong_scores = p.attack_batch(250.0, {cell}).scores[0][0];
   EXPECT_GT(quantile(strong_scores, 0.5), quantile(weak_scores, 0.5));
 }
 
 TEST(Pipeline, MoreCompromiseLowersAttackScores) {
   Pipeline p(small_pipeline_config());
-  AttackSpec clean;
-  clean.damage = 120.0;
-  clean.compromised_frac = 0.0;
-  AttackSpec dirty = clean;
+  AttackCell clean{MetricKind::kDiff, AttackClass::kDecBounded, 0.0,
+                   {MetricKind::kDiff}};
+  AttackCell dirty = clean;
   dirty.compromised_frac = 0.4;
-  EXPECT_GT(quantile(p.attack_scores(clean), 0.5),
-            quantile(p.attack_scores(dirty), 0.5));
+  EXPECT_GT(quantile(p.attack_batch(120.0, {clean}).scores[0][0], 0.5),
+            quantile(p.attack_batch(120.0, {dirty}).scores[0][0], 0.5));
 }
 
 TEST(Pipeline, DecOnlyAttackScoresAtLeastDecBounded) {
   // Dec-Bounded is the stronger adversary: its minimized scores are <=
   // Dec-Only's, pointwise (same victims via shared streams).
   Pipeline p(small_pipeline_config());
-  AttackSpec bounded;
-  bounded.damage = 100.0;
-  bounded.compromised_frac = 0.1;
-  bounded.attack_class = AttackClass::kDecBounded;
-  AttackSpec only = bounded;
+  AttackCell bounded{MetricKind::kDiff, AttackClass::kDecBounded, 0.1,
+                     {MetricKind::kDiff}};
+  AttackCell only = bounded;
   only.attack_class = AttackClass::kDecOnly;
-  const auto sb = p.attack_scores(bounded);
-  const auto so = p.attack_scores(only);
+  const auto sb = p.attack_batch(100.0, {bounded}).scores[0][0];
+  const auto so = p.attack_batch(100.0, {only}).scores[0][0];
   ASSERT_EQ(sb.size(), so.size());
   for (std::size_t i = 0; i < sb.size(); ++i) {
     EXPECT_LE(sb[i], so[i] + 1e-9) << "victim " << i;
@@ -141,8 +138,12 @@ TEST(Pipeline, DecOnlyAttackScoresAtLeastDecBounded) {
 
 TEST(Pipeline, MeanLocalizationErrorTracksConfiguredNoise) {
   Pipeline p(small_pipeline_config());
-  const double small_err = p.mean_localization_error(truth_noise_factory(2.0));
-  const double large_err = p.mean_localization_error(truth_noise_factory(30.0));
+  const double small_err =
+      p.benign_scores(truth_noise_factory(2.0), {MetricKind::kDiff})
+          .mean_localization_error;
+  const double large_err =
+      p.benign_scores(truth_noise_factory(30.0), {MetricKind::kDiff})
+          .mean_localization_error;
   EXPECT_LT(small_err, large_err);
   EXPECT_NEAR(small_err, 2.0 * std::sqrt(M_PI / 2), 1.0);
 }
@@ -150,7 +151,8 @@ TEST(Pipeline, MeanLocalizationErrorTracksConfiguredNoise) {
 TEST(Pipeline, MleFactoryProducesWorkingLocalizer) {
   Pipeline p(small_pipeline_config());
   const auto factory = beaconless_mle_factory(p.model(), p.gz());
-  const double err = p.mean_localization_error(factory);
+  const double err =
+      p.benign_scores(factory, {MetricKind::kDiff}).mean_localization_error;
   EXPECT_GT(err, 0.0);
   EXPECT_LT(err, 60.0);
 }
@@ -163,34 +165,40 @@ TEST(Pipeline, RejectsBadConfigs) {
   cfg.victims_per_network = 0;
   EXPECT_THROW(Pipeline{cfg}, AssertionError);
   Pipeline ok(small_pipeline_config());
-  AttackSpec bad;
-  bad.compromised_frac = 1.5;
-  EXPECT_THROW(ok.attack_scores(bad), AssertionError);
+  AttackCell bad{MetricKind::kDiff, AttackClass::kDecBounded, 1.5,
+                 {MetricKind::kDiff}};
+  EXPECT_THROW(ok.attack_batch(120.0, {bad}), AssertionError);
   bad.compromised_frac = 0.1;
-  bad.damage = -5.0;
-  EXPECT_THROW(ok.attack_scores(bad), AssertionError);
+  EXPECT_THROW(ok.attack_batch(-5.0, {bad}), AssertionError);
 }
 
 TEST(Pipeline, VictimGroupsAlignWithScoresAndNeverPerturbThem) {
   Pipeline p(small_pipeline_config());
   const LocalizerFactory factory = truth_noise_factory(5.0);
-  const auto plain = p.benign_scores(factory, {MetricKind::kDiff});
-  std::vector<int> groups;
-  const auto with_groups =
-      p.benign_scores(factory, {MetricKind::kDiff}, &groups);
-  EXPECT_EQ(plain.at(MetricKind::kDiff), with_groups.at(MetricKind::kDiff));
-  ASSERT_EQ(groups.size(), with_groups.at(MetricKind::kDiff).size());
-  for (int g : groups) {
+  // A metric's scores do not depend on which other metrics share the
+  // pass, and every pass carries one victim group per sample.
+  const BenignPass plain = p.benign_scores(factory, {MetricKind::kDiff});
+  const BenignPass shared =
+      p.benign_scores(factory, {MetricKind::kProb, MetricKind::kDiff});
+  EXPECT_EQ(plain.scores.at(MetricKind::kDiff),
+            shared.scores.at(MetricKind::kDiff));
+  EXPECT_EQ(plain.victim_groups, shared.victim_groups);
+  ASSERT_EQ(plain.victim_groups.size(),
+            plain.scores.at(MetricKind::kDiff).size());
+  for (int g : plain.victim_groups) {
     EXPECT_GE(g, 0);
     EXPECT_LT(g, p.model().num_groups());
   }
 
-  AttackSpec attack;
-  std::vector<int> attack_groups;
-  const auto scores_plain = p.attack_scores(attack);
-  const auto scores_grouped = p.attack_scores(attack, &attack_groups);
-  EXPECT_EQ(scores_plain, scores_grouped);
-  ASSERT_EQ(attack_groups.size(), scores_grouped.size());
+  const AttackCell diff{MetricKind::kDiff, AttackClass::kDecBounded, 0.1,
+                        {MetricKind::kDiff}};
+  const AttackCell prob{MetricKind::kProb, AttackClass::kDecOnly, 0.3,
+                        {MetricKind::kProb}};
+  const AttackPass alone = p.attack_batch(120.0, {diff});
+  const AttackPass batched = p.attack_batch(120.0, {prob, diff});
+  EXPECT_EQ(alone.scores[0], batched.scores[1]);
+  EXPECT_EQ(alone.victim_groups, batched.victim_groups);
+  ASSERT_EQ(alone.victim_groups.size(), alone.scores[0][0].size());
 }
 
 TEST(Pipeline, TrainBundlePerGroupEmitsBoundaryOverrideRows) {
@@ -271,9 +279,9 @@ TEST(Pipeline, PassesBitIdenticalAcrossThreadsAndKernels) {
 
   const std::vector<MetricKind> metrics = {MetricKind::kDiff,
                                            MetricKind::kProb};
-  AttackSpec attack;
-  attack.damage = 120.0;
-  attack.compromised_frac = 0.2;
+  constexpr double kDamage = 120.0;
+  const AttackCell attack{MetricKind::kDiff, AttackClass::kDecBounded, 0.2,
+                          {MetricKind::kDiff}};
 
   ASSERT_TRUE(force_observe_kernel("scalar"));
   PipelineConfig cfg = small_pipeline_config();
@@ -282,11 +290,11 @@ TEST(Pipeline, PassesBitIdenticalAcrossThreadsAndKernels) {
   const LocalizerFactory base_factory =
       beaconless_mle_factory(baseline.model(), baseline.gz());
   const auto base_benign = baseline.benign_scores(base_factory, metrics);
-  const auto base_attack = baseline.attack_scores(attack);
+  const auto base_attack = baseline.attack_batch(kDamage, {attack});
   // One multi-scorer cell: the taint minimizes Diff, both metrics score.
   const std::vector<AttackCell> cells = {
       {attack.metric, attack.attack_class, attack.compromised_frac, metrics}};
-  const auto base_batch = baseline.attack_batch(attack.damage, cells);
+  const auto base_batch = baseline.attack_batch(kDamage, cells);
   std::ostringstream base_bundle;
   save_bundle(base_bundle, baseline.train_bundle(base_factory, metrics,
                                                  {0.95, 0.99}, 0.99));
@@ -302,8 +310,8 @@ TEST(Pipeline, PassesBitIdenticalAcrossThreadsAndKernels) {
       const LocalizerFactory factory =
           beaconless_mle_factory(p.model(), p.gz());
       EXPECT_TRUE(p.benign_scores(factory, metrics) == base_benign);
-      EXPECT_TRUE(p.attack_scores(attack) == base_attack);
-      EXPECT_TRUE(p.attack_batch(attack.damage, cells) == base_batch);
+      EXPECT_TRUE(p.attack_batch(kDamage, {attack}) == base_attack);
+      EXPECT_TRUE(p.attack_batch(kDamage, cells) == base_batch);
       std::ostringstream bundle;
       save_bundle(bundle,
                   p.train_bundle(factory, metrics, {0.95, 0.99}, 0.99));
@@ -418,17 +426,16 @@ TEST(Pipeline, AttackBatchMatchesThePerCellReference) {
         SCOPED_TRACE("D=" + std::to_string(damage) + " trial " +
                      std::to_string(trial) + " threads=" +
                      std::to_string(p->config().threads));
-        std::vector<int> groups;
-        const auto batch = p->attack_batch(damage, cells, &groups);
-        ASSERT_EQ(batch.size(), cells.size());
+        const AttackPass batch = p->attack_batch(damage, cells);
+        ASSERT_EQ(batch.scores.size(), cells.size());
         for (std::size_t ci = 0; ci < cells.size(); ++ci) {
           const ReferencePass& ref = reference[order[ci]];
-          ASSERT_EQ(batch[ci].size(), ref.scores.size());
+          ASSERT_EQ(batch.scores[ci].size(), ref.scores.size());
           for (std::size_t si = 0; si < ref.scores.size(); ++si) {
-            EXPECT_TRUE(same_bits(batch[ci][si], ref.scores[si]))
+            EXPECT_TRUE(same_bits(batch.scores[ci][si], ref.scores[si]))
                 << "cell " << order[ci] << " scorer " << si;
           }
-          EXPECT_EQ(groups, ref.victim_groups);
+          EXPECT_EQ(batch.victim_groups, ref.victim_groups);
         }
       }
     }
@@ -452,12 +459,12 @@ TEST(Pipeline, AttackBatchLadderIgnoresTheCallersXOrder) {
       }
       SCOPED_TRACE(std::string(metric_name(metric)) + " " +
                    attack_class_name(cls));
-      const auto batch = p.attack_batch(120.0, cells);
-      ASSERT_EQ(batch.size(), cells.size());
+      const AttackPass batch = p.attack_batch(120.0, cells);
+      ASSERT_EQ(batch.scores.size(), cells.size());
       for (std::size_t ci = 0; ci < cells.size(); ++ci) {
         const ReferencePass ref = reference_attack_pass(p, 120.0, cells[ci]);
         for (std::size_t si = 0; si < ref.scores.size(); ++si) {
-          EXPECT_TRUE(same_bits(batch[ci][si], ref.scores[si]))
+          EXPECT_TRUE(same_bits(batch.scores[ci][si], ref.scores[si]))
               << "cell " << ci << " x " << cells[ci].compromised_frac
               << " scorer " << si;
         }
@@ -501,6 +508,59 @@ TEST(Pipeline, StatefulLocalizerFallsBackDeterministically) {
   const auto factory = truth_noise_factory(5.0);
   EXPECT_TRUE(serial.benign_scores(factory, {MetricKind::kDiff}) ==
               wide.benign_scores(factory, {MetricKind::kDiff}));
+}
+
+// --- the folded localization error against the separate pass ----------
+
+/// Mean localization error as the separate pass computed it before the
+/// benign pass carried it: fresh localizers from the benign stream, the
+/// same victims, each network's victims localized in order, then the mean
+/// over victims within a network and over networks.
+double reference_mean_localization_error(const Pipeline& p,
+                                         const LocalizerFactory& factory) {
+  constexpr std::uint64_t kStreamBenign = 0x42454e49ull;  // "BENI"
+  const PipelineConfig& cfg = p.config();
+  const std::size_t k = static_cast<std::size_t>(cfg.victims_per_network);
+  double sum = 0.0;
+  for (std::size_t ni = 0; ni < p.networks().size(); ++ni) {
+    const Network& net = *p.networks()[ni];
+    Rng rng = Rng::stream(cfg.seed ^ kStreamBenign, ni);
+    const std::uint64_t loc_seed = rng.bits();
+    std::vector<std::size_t> victims(k);
+    for (std::size_t& node : victims) {
+      node = reference_draw_victim(net, cfg, rng);
+    }
+    const std::unique_ptr<Localizer> localizer = factory(loc_seed);
+    localizer->prepare(net);
+    double total = 0.0;
+    for (std::size_t node : victims) {
+      total += distance(localizer->localize(net, node), net.position(node));
+    }
+    sum += total / static_cast<double>(k);
+  }
+  return sum / static_cast<double>(p.networks().size());
+}
+
+// The benign pass's mean localization error is bit-identical to the
+// separate pass, for a concurrent localizer (the flat fan-out) and a
+// stateful one (the per-network path), at any thread count.
+TEST(Pipeline, BenignPassLocalizationErrorMatchesTheSeparatePass) {
+  for (int threads : {1, 4}) {
+    PipelineConfig cfg = small_pipeline_config();
+    cfg.threads = threads;
+    Pipeline p(cfg);
+    const std::vector<std::pair<std::string, LocalizerFactory>> factories = {
+        {"beaconless-mle", beaconless_mle_factory(p.model(), p.gz())},
+        {"truth-noise", truth_noise_factory(5.0)}};
+    for (const auto& [name, factory] : factories) {
+      SCOPED_TRACE(name + " threads=" + std::to_string(threads));
+      const double folded =
+          p.benign_scores(factory, {MetricKind::kDiff}).mean_localization_error;
+      const double reference = reference_mean_localization_error(p, factory);
+      EXPECT_EQ(std::memcmp(&folded, &reference, sizeof(double)), 0)
+          << std::hexfloat << folded << " vs " << reference;
+    }
+  }
 }
 
 TEST(Pipeline, TrainBundleRejectsBadGroupSpec) {

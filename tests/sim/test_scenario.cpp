@@ -430,15 +430,18 @@ TEST(ScenarioRunner, DrSweepMatchesTheDirectEntryPoint) {
       beaconless_mle_factory(pipeline.model(), pipeline.gz());
   const std::vector<double> benign =
       pipeline.benign_scores(factory, {MetricKind::kDiff})
-          .at(MetricKind::kDiff);
+          .scores.at(MetricKind::kDiff);
   const double threshold =
       train_threshold(MetricKind::kDiff, benign, 1.0 - spec.fp_budget)
           .threshold;
   std::size_t row = 0;
   for (double x : spec.compromised) {
     for (double d : spec.damages) {
-      const std::vector<double> attack = pipeline.attack_scores(
-          {MetricKind::kDiff, AttackClass::kDecBounded, d, x});
+      const std::vector<double> attack =
+          pipeline
+              .attack_batch(d, {{MetricKind::kDiff, AttackClass::kDecBounded,
+                                 x, {MetricKind::kDiff}}})
+              .scores[0][0];
       EXPECT_EQ(table.cell(row, 0), format_double(x, 2));
       EXPECT_EQ(table.cell(row, 1), format_double(d, 0));
       EXPECT_EQ(table.cell(row, 2),
@@ -840,7 +843,7 @@ TEST(ScenarioRunner, FusionThroughSavedBundleMatchesInlineTraining) {
   Pipeline pipeline(spec.pipeline);
   const LocalizerFactory factory =
       beaconless_mle_factory(pipeline.model(), pipeline.gz());
-  const auto benign = pipeline.benign_scores(factory, spec.metrics);
+  const auto benign = pipeline.benign_scores(factory, spec.metrics).scores;
   std::vector<DetectorSpec> sections;
   for (MetricKind k : spec.metrics) {
     sections.push_back(detector_spec_from_training(

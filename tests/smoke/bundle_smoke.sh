@@ -28,6 +28,20 @@ run() {
 
 small_flags=(--m 40 --r 45 --sigma 25 --networks 2 --victims 40 --seed 1)
 
+simulate_threads_match() {
+  # simulate_threads_match <name> <simulate flags...>: cmd_simulate draws
+  # every trial before its fan-out, so its stdout is byte-identical at
+  # every --threads value.
+  local name="$1"
+  shift
+  "$cli" simulate "$@" --threads 1 >"$workdir/$name.t1" 2>&1 \
+    || fail "$name: simulate --threads 1 failed"
+  "$cli" simulate "$@" --threads 4 >"$workdir/$name.t4" 2>&1 \
+    || fail "$name: simulate --threads 4 failed"
+  cmp "$workdir/$name.t1" "$workdir/$name.t4" \
+    || fail "$name: simulate output differs between --threads 1 and 4"
+}
+
 # --- train a fused bundle with a multi-tau table -------------------------
 run train_fusion 0 "$cli" train --out "$workdir/fused.lad" --fusion \
   --taus 0.95,0.99,0.999 "${small_flags[@]}"
@@ -56,6 +70,8 @@ run simulate_fusion 0 "$cli" simulate --detector "$workdir/fused.lad" \
 grep -q "benign false positives:" <<<"$output" || fail "simulate: missing benign line"
 grep -q "attacks detected (D=120, x=10%, dec-bounded vs add-all)" <<<"$output" \
   || fail "simulate: missing detection line"
+simulate_threads_match simulate_fusion_threads --detector "$workdir/fused.lad" \
+  --d 120 --x 0.1 --trials 20 --seed 7 --target add-all
 
 # --- per-group threshold training ----------------------------------------
 run train_per_group 0 "$cli" train --out "$workdir/grouped.lad" --per-group \
@@ -91,6 +107,9 @@ run simulate_grouped 0 "$cli" simulate --detector "$workdir/grouped.lad" \
   --d 120 --x 0.1 --trials 20 --seed 7 --per-group
 grep -q "(per-group thresholds)" <<<"$output" \
   || fail "simulate --per-group: detector line does not say per-group"
+simulate_threads_match simulate_grouped_threads \
+  --detector "$workdir/grouped.lad" --d 120 --x 0.1 --trials 20 --seed 7 \
+  --per-group
 
 # --- migrate the checked-in v1 golden ------------------------------------
 run inspect_v1 0 "$cli" inspect --detector "$v1_golden"

@@ -324,11 +324,9 @@ int cmd_simulate(const Flags& flags) {
 
   const int threads = static_cast<int>(flags.get_int("threads", 0));
 
-  const GzTable gz({bundle.config.radio_range, bundle.config.sigma},
-                   bundle.gz_omega);
   Rng rng(seed);
   const Network net(rt.model(), rng);
-  const BeaconlessMleLocalizer localizer(rt.model(), gz);
+  const BeaconlessMleLocalizer localizer(rt.model(), rt.gz());
 
   // Sequential rng phase first (the historical per-trial draw order:
   // victim rejection draws, then the planted Le), so the verdict fan-out
@@ -364,7 +362,7 @@ int cmd_simulate(const Flags& flags) {
         if (verdict(a, localizer.estimate(a)).anomaly) benign_hit[t] = 1;
         // Attacked check.
         const ExpectedObservation mu =
-            rt.model().expected_observation(les[t], gz);
+            rt.model().expected_observation(les[t], rt.gz());
         const TaintResult taint =
             greedy_taint(a, mu, bundle.config.nodes_per_group, target, cls,
                          static_cast<int>(x * a.total()));
